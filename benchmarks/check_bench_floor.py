@@ -9,8 +9,8 @@ path::
 Compares the concurrent ops/s at 4 workers in CURRENT against the
 committed BASELINE and exits non-zero if it fell below ``floor`` times
 the baseline.  The committed ``benchmarks/results/BENCH_plan_kernel.json``
-is the baseline; CI copies it aside, regenerates it by running the
-benchmark, then compares.
+is the baseline; CI runs the benchmark, which writes the fresh result
+to ``.benchmarks/results/BENCH_plan_kernel.json``, then compares the two.
 """
 
 from __future__ import annotations
@@ -22,32 +22,15 @@ import sys
 
 WORKERS = "4"
 
-#: The two places a BENCH json lives: the canonical results dir and the
-#: repo-root mirror ``write_bench_json`` maintains.  Identical content.
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-_RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
-
-
-def _locate(path: pathlib.Path) -> pathlib.Path:
-    """Resolve ``path``, falling back to its twin location by filename."""
-    if path.exists():
-        return path
-    for fallback_dir in (_RESULTS_DIR, _REPO_ROOT):
-        fallback = fallback_dir / path.name
-        if fallback.exists():
-            return fallback
-    return path
-
 
 def ops_at_four_workers(path: pathlib.Path) -> float:
-    path = _locate(path)
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise SystemExit(
-            f"{path}: no such benchmark result (checked benchmarks/results/ "
-            "and the repo-root mirror) — generate it with "
-            "'pytest benchmarks/test_concurrent_throughput.py'"
+            f"{path}: no such benchmark result — generate it with "
+            "'pytest benchmarks/test_concurrent_throughput.py' (fresh results "
+            "land in .benchmarks/results/)"
         ) from None
     try:
         payload = json.loads(text)

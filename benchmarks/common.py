@@ -3,8 +3,13 @@
 Each benchmark regenerates one table or figure of the paper on the
 simulated disk: it sweeps the same parameter the paper sweeps, prints
 the resulting rows/series in plain text, writes them to
-``benchmarks/results/``, and asserts the qualitative shape the paper
+``.benchmarks/results/``, and asserts the qualitative shape the paper
 reports (who wins, by roughly what factor, where the crossover falls).
+
+Fresh results never overwrite the committed ones in
+``benchmarks/results/``: git ignores ``.benchmarks/``, so a test run
+leaves the tree clean, and refreshing a committed result is a
+deliberate copy (see README.md, "Running the benchmarks").
 
 Absolute numbers are simulated milliseconds from the
 :class:`~repro.storage.latency.DiskLatencyModel`, not wall-clock seconds
@@ -19,11 +24,8 @@ import pathlib
 
 from repro.analysis.series import SeriesTable, SweepResult
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Repo root, where machine-readable results are mirrored so floor
-#: checks and dashboards can find them without knowing the tree layout.
-REPO_ROOT = pathlib.Path(__file__).parent.parent
+#: Fresh results land in ``.benchmarks/results/`` under the repository root (git ignores it).
+RESULTS_DIR = pathlib.Path(__file__).parent.parent / ".benchmarks" / "results"
 
 MIB = 1024 * 1024
 KIB = 1024
@@ -36,7 +38,7 @@ PAPER_SYSTEMS = ("StegHide", "StegHide*", "StegFS", "FragDisk", "CleanDisk")
 
 
 def save_result(name: str, rendered: str) -> pathlib.Path:
-    """Write a rendered table to benchmarks/results/<name>.txt and echo it."""
+    """Write a rendered table to .benchmarks/results/<name>.txt and echo it."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(rendered + "\n", encoding="utf-8")
@@ -45,22 +47,18 @@ def save_result(name: str, rendered: str) -> pathlib.Path:
 
 
 def write_bench_json(name: str, payload: dict) -> pathlib.Path:
-    """Write a machine-readable result to benchmarks/results/<name>.json.
+    """Write a machine-readable result to .benchmarks/results/<name>.json.
 
     The JSON twins the rendered ``.txt`` tables so CI can enforce
     numeric floors (see ``check_bench_floor.py``) without parsing prose.
     Keys are sorted and the file ends in a newline so regenerated
-    results diff cleanly.  Each file is also mirrored to the repo root
-    (``<root>/<name>.json``) so floor checks and dashboards can read it
-    without knowing the tree layout; the two copies are byte-identical.
+    results diff cleanly against the committed copies.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(rendered, encoding="utf-8")
-    mirror = REPO_ROOT / f"{name}.json"
-    mirror.write_text(rendered, encoding="utf-8")
-    print(f"[saved to {path}; mirrored to {mirror}]")
+    print(f"[saved to {path}]")
     return path
 
 
@@ -97,7 +95,6 @@ __all__ = [
     "assert_monotone_increasing",
     "assert_monotone_decreasing",
     "RESULTS_DIR",
-    "REPO_ROOT",
     "MIB",
     "KIB",
     "BENCH_BLOCK_SIZE",

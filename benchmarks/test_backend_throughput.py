@@ -18,7 +18,8 @@ The mmap path writes through the page cache, so its steady-state cost
 is one extra memcpy plus page-fault overhead — the assertion only pins
 a loose floor (mmap ≥ ``MIN_RELATIVE`` of memory, both ≥
 ``MIN_ABSOLUTE_MBPS``) so CI boxes with slow disks do not flap.
-Results land in ``benchmarks/results/backend_throughput.txt``.
+Results land in ``.benchmarks/results/backend_throughput.txt``; the
+committed copy in ``benchmarks/results/`` is the reference.
 """
 
 from __future__ import annotations

@@ -8,17 +8,21 @@ serializes the single-threaded core, interleaves the agent's dummy
 stream and coalesces adjacent block I/O per scheduling quantum through
 the PR-1 batched device paths.
 
-What scales: every batched device call pays a fixed accounting cost
-(vectorized latency charging, columnar trace append, numpy data
-movement) regardless of width, so serving W clients per quantum divides
-that cost by W.  One worker means width-1 batches; more workers mean
-wider batches and higher ops/s from the same single-threaded core.
+What scales: every batched device call pays a fixed cost (validation,
+one trace append, one backend gather or scatter: about 15 µs for a
+one-block read and 20 µs for a one-cycle read-write on a 2-vCPU Xeon
+VM) regardless of width, so serving W clients per quantum divides that
+cost by W.  One worker means width-1 batches; more workers mean wider
+batches and higher ops/s from the same single-threaded core.  Planning,
+the cipher and the client hand-offs are paid per request whatever the
+width, and with device calls this cheap they bound the speedup: on a
+2-vCPU Xeon VM the sweep reaches 2x only in some runs (2 of 20, at
+1.4–2.9k ops/s with one worker and 2.9–5.3k with eight).
 
 On a single-CPU host the client wake-ups serialize with the scheduler,
-which caps the 4-worker speedup just under the width-4 ideal; the >= 2x
-point is still reached within the sweep (8 workers).  With >= 4 real
-cores the wake-ups overlap the scheduler and 4 workers alone clear 2x,
-which the test then asserts.
+which caps the 4-worker speedup below the width-4 ideal.  With >= 4
+real cores the wake-ups overlap the scheduler and 4 workers alone are
+expected to clear 2x, which the test then asserts.
 
 The security half: the update-analysis attacker must stay blind.  The
 same mixed workload is replayed through ``run_experiment`` at 1 and 4

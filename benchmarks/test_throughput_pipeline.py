@@ -17,8 +17,9 @@ Both pipelines issue observationally identical device traces (the
 equivalence tests in ``tests/test_batched_io.py`` prove it); only the
 wall-clock cost differs.  The run asserts the batched path sustains at
 least 5x the before-path MB/s on sequential file reads and writes, and
-records every series in ``benchmarks/results/throughput_pipeline.txt``
-so the performance trajectory stays trackable across PRs.
+records every series in ``.benchmarks/results/throughput_pipeline.txt``
+(the committed copy in ``benchmarks/results/`` is the reference) so the
+performance trajectory stays trackable across PRs.
 """
 
 from __future__ import annotations

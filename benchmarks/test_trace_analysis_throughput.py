@@ -20,8 +20,9 @@ through two representations:
 Both paths compute the *same* attacker verdict on the same events — the
 run asserts it — and the columnar path must sustain at least 5x the
 events/s recorded and at least 5x the analysis throughput.  Results land
-in ``benchmarks/results/trace_analysis_throughput.txt`` so the
-trajectory stays trackable across PRs.
+in ``.benchmarks/results/trace_analysis_throughput.txt`` (the committed
+copy in ``benchmarks/results/`` is the reference) so the trajectory
+stays trackable across PRs.
 """
 
 from __future__ import annotations

@@ -51,10 +51,13 @@ of order.
 Because every core touch happens on the scheduler thread, the
 single-threaded contract of the agents is never violated; worker
 threads only ever block on their own request's completion event.  The
-batching is where multi-worker throughput comes from: every batched
-device call pays a fixed accounting cost (vectorized latency charging,
-columnar trace append, numpy data movement) that the batch width
-divides.
+batching is where multi-worker throughput comes from: each batched
+device call has a fixed cost (validation, one trace append, one backend
+gather or scatter) that the batch width divides.  That cost is small —
+about 15 µs for a one-block read and 20 µs for a one-cycle read-write
+on a 2-vCPU Xeon VM, each further block or cycle adding 1–2 µs — so
+planning, the cipher and thread hand-offs, which width does not
+divide, bound how much more throughput extra workers buy.
 
 Quickstart::
 

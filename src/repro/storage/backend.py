@@ -137,7 +137,7 @@ class _ArrayBackend:
         rows = np.frombuffer(b"".join(datas), dtype=np.uint8).reshape(
             indices.size, self._block_size
         )
-        if np.unique(indices).size == indices.size:
+        if len(set(indices.tolist())) == indices.size:
             view[indices] = rows
         else:
             # Duplicate targets: apply in order so the last writer wins,

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 from repro.errors import BlockOutOfRangeError
-from repro.storage.disk import RawStorage, _index_array
+from repro.storage.disk import RawStorage, _index_list
 
 
 @runtime_checkable
@@ -143,16 +141,8 @@ class Partition:
             )
         return self.start_block + index
 
-    def _translate_many(self, indices: Iterable[int]) -> np.ndarray:
-        translated = _index_array(indices)
-        if translated.size:
-            bad = (translated < 0) | (translated >= self._num_blocks)
-            if bad.any():
-                raise BlockOutOfRangeError(
-                    f"block {int(translated[bad][0])} outside partition of "
-                    f"{self._num_blocks} blocks"
-                )
-        return translated + self.start_block
+    def _translate_many(self, indices: Iterable[int]) -> list[int]:
+        return [self._translate(index) for index in _index_list(indices)]
 
     def read_block(self, index: int, stream: str = "default") -> bytes:
         return self.storage.read_block(self._translate(index), stream)

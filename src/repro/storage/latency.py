@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass
 class DiskLatencyModel:
@@ -39,8 +37,10 @@ class DiskLatencyModel:
     transfer_ms_per_block:
         Media transfer time per block; charged for every access.
     sequential_threshold:
-        An access within this many blocks after the previous one (per
-        stream) counts as sequential and pays only transfer time.
+        An access within this many blocks after the previous one counts
+        as sequential and pays only transfer time.  The previous access
+        is the device's, whichever stream issued it: ``RawStorage`` has
+        a single head shared by all streams.
     """
 
     seek_ms: float = 8.5
@@ -55,39 +55,6 @@ class DiskLatencyModel:
             if 0 <= distance <= self.sequential_threshold:
                 return self.transfer_ms_per_block
         return self.seek_ms + self.rotational_ms + self.transfer_ms_per_block
-
-    def cost_ms_many(self, previous_index: int | None, indices: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`cost_ms` over a run of consecutive accesses.
-
-        ``indices[i]`` is charged against ``indices[i-1]`` (the head moves
-        through the batch); ``indices[0]`` is charged against
-        ``previous_index``.  Subclasses that override :meth:`cost_ms` are
-        honoured via a per-access fallback loop, so custom models stay
-        correct without having to vectorize themselves.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        count = indices.size
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
-        overridden = (
-            "cost_ms" in self.__dict__  # instance-level monkeypatch
-            or type(self).cost_ms is not DiskLatencyModel.cost_ms
-        )
-        if overridden:
-            costs = np.empty(count, dtype=np.float64)
-            previous = previous_index
-            for i in range(count):
-                index = int(indices[i])
-                costs[i] = self.cost_ms(previous, index)
-                previous = index
-            return costs
-        distance = np.empty(count, dtype=np.int64)
-        distance[1:] = indices[1:] - indices[:-1]
-        # A None head position never counts as sequential.
-        distance[0] = indices[0] - previous_index if previous_index is not None else -1
-        sequential = (distance >= 0) & (distance <= self.sequential_threshold)
-        random_cost = self.seek_ms + self.rotational_ms + self.transfer_ms_per_block
-        return np.where(sequential, self.transfer_ms_per_block, random_cost)
 
     @property
     def random_access_ms(self) -> float:

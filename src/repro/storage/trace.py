@@ -169,46 +169,43 @@ class IoTrace:
         while keeping per-session trace attribution).  Equivalent to a
         loop of :meth:`record` over the batch, only faster.
         """
-        index_column = np.asarray(indices, dtype=np.int64)
-        time_column = np.asarray(times_ms, dtype=np.float64)
-        count = index_column.size
-        if time_column.size != count:
-            raise ValueError(f"{count} indices but {time_column.size} timestamps")
+        count = len(indices)
+        if len(times_ms) != count:
+            raise ValueError(f"{count} indices but {len(times_ms)} timestamps")
+        op_column: np.ndarray | list[int] | int
         if isinstance(op, str):
-            op_column: np.ndarray | int = _OP_CODES[op]
+            op_column = _OP_CODES[op]
         else:
             if isinstance(op, np.ndarray):
-                op_column = op
-                if not np.issubdtype(op_column.dtype, np.integer):
+                if not np.issubdtype(op.dtype, np.integer):
                     raise ValueError("op codes must be an integer array")
-                if op_column.size and not ((op_column >= OP_READ) & (op_column <= OP_WRITE)).all():
+                if op.size and not ((op >= OP_READ) & (op <= OP_WRITE)).all():
                     raise ValueError("op codes must be OP_READ or OP_WRITE")
+                op_column = op
             else:
-                op_column = np.fromiter((_OP_CODES[o] for o in op), dtype=np.uint8, count=len(op))
-            if op_column.size != count:
-                raise ValueError(f"{count} indices but {op_column.size} operations")
+                op_column = [_OP_CODES[name] for name in op]
+            if len(op_column) != count:
+                raise ValueError(f"{count} indices but {len(op_column)} operations")
         if not isinstance(stream, str) and len(stream) != count:
             raise ValueError(f"{count} indices but {len(stream)} streams")
         if count == 0:
             return
         with self._append_lock:
             n = self._size
-            self._ensure_capacity(n + count)
-            self._ops[n : n + count] = op_column
-            self._indices[n : n + count] = index_column
-            self._times[n : n + count] = time_column
+            end = n + count
+            self._ensure_capacity(end)
             if isinstance(stream, str):
-                self._streams[n : n + count] = self._intern(stream)
+                stream_column: list[int] | int = self._intern(stream)
             else:
-                self._streams[n : n + count] = np.fromiter(
-                    (self._intern(name) for name in stream), dtype=np.int32, count=count
-                )
-            if self._time_sorted and (
-                (n and time_column[0] < self._times[n - 1])
-                or (count > 1 and np.any(np.diff(time_column) < 0))
-            ):
-                self._time_sorted = False
-            self._size = n + count
+                stream_column = [self._intern(name) for name in stream]
+            self._ops[n:end] = op_column
+            self._indices[n:end] = indices
+            self._times[n:end] = times_ms
+            self._streams[n:end] = stream_column
+            if self._time_sorted:
+                written = self._times[max(n - 1, 0) : end]
+                self._time_sorted = not (written[1:] < written[:-1]).any()
+            self._size = end
 
     def extend(self, other: "IoTrace" | Iterable[IoEvent]) -> None:
         """Append events from another trace (column-wise when possible)."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.nonvolatile import NonVolatileAgent
@@ -24,7 +24,9 @@ from repro.core.oblivious.store import ObliviousStore, ObliviousStoreConfig
 from repro.crypto.cipher import FastFieldCipher, FieldCipher
 from repro.crypto.keys import FileAccessKey
 from repro.crypto.prng import Sha256Prng
+from repro.errors import BlockOutOfRangeError, BlockSizeMismatchError
 from repro.stegfs.filesystem import StegFsVolume
+from repro.storage.backend import MemoryBackend
 from repro.storage.bitmap import Bitmap
 from repro.storage.device import Partition, RawDevice, split_volume
 from repro.storage.disk import RawStorage, StorageGeometry
@@ -59,6 +61,46 @@ writes_strategy = st.lists(
     min_size=0,
     max_size=24,
 )
+stream_strategy = st.sampled_from(["a", "b", "c"])
+# Half the block draws come from a pool of eight, so cycles collide often.
+block_strategy = st.one_of(st.integers(0, 7), st.integers(0, NUM_BLOCKS - 1))
+cycles_strategy = st.lists(
+    st.tuples(
+        block_strategy,
+        block_strategy,
+        st.booleans(),
+        st.binary(min_size=BLOCK_SIZE, max_size=BLOCK_SIZE),
+        stream_strategy,
+    ).map(lambda c: (c[0], c[0] if c[2] else c[1], c[3], c[4])),  # (read, write, data, stream)
+    max_size=16,
+)
+
+
+class _RecordingBackend:
+    """A backend wrapper logging every block call as (method, indices, datas)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def read(self, index):
+        self.calls.append(("read", [int(index)], None))
+        return self.inner.read(index)
+
+    def write(self, index, data):
+        self.calls.append(("write", [int(index)], [data]))
+        self.inner.write(index, data)
+
+    def read_many(self, indices):
+        self.calls.append(("read_many", [int(i) for i in indices], None))
+        return self.inner.read_many(indices)
+
+    def write_many(self, indices, datas):
+        self.calls.append(("write_many", [int(i) for i in indices], list(datas)))
+        self.inner.write_many(indices, datas)
 
 
 class TestBatchedDeviceEquivalence:
@@ -113,6 +155,83 @@ class TestBatchedDeviceEquivalence:
         batched.read_blocks(more_reads, "a")
         _assert_identical(loop, batched)
 
+    @settings(max_examples=60, deadline=None)
+    @given(cycles=cycles_strategy)
+    @example(cycles=[(3, 9, b"\x01" * BLOCK_SIZE, "a"), (9, 4, b"\x02" * BLOCK_SIZE, "b")])
+    @example(cycles=[(3, 9, b"\x01" * BLOCK_SIZE, "a"), (5, 5, b"\x02" * BLOCK_SIZE, "b")])
+    def test_swap_cycles_match_loop(self, cycles):
+        """``write_indices`` cycles, colliding or not, against the
+        read_block/write_block loop they stand for.  Collisions (a later
+        cycle reading or writing an earlier cycle's block, duplicate
+        targets) take the genuine loop; the rest take the batched path."""
+        loop, batched = _timed_pair()
+        for read_index, write_index, data, stream in cycles:
+            loop.read_block(read_index, stream)
+            loop.write_block(write_index, data, stream)
+        batched.read_write_blocks(
+            [r for r, _, _, _ in cycles],
+            [d for _, _, d, _ in cycles],
+            [s for _, _, _, s in cycles],
+            write_indices=[w for _, w, _, _ in cycles],
+        )
+        _assert_identical(loop, batched)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=writes_strategy, draw=st.data())
+    def test_per_block_streams_match_loop(self, batch, draw):
+        """A per-block stream list labels each event (both events of a
+        cycle carry the cycle's label) exactly as the loop would."""
+        labels = draw.draw(st.lists(stream_strategy, min_size=len(batch), max_size=len(batch)))
+        indices = [i for i, _ in batch]
+        datas = [d for _, d in batch]
+        loop, batched = _timed_pair()
+        reads = [loop.read_block(i, s) for i, s in zip(indices, labels, strict=True)]
+        for i, d, s in zip(indices, datas, labels, strict=True):
+            loop.write_block(i, d, s)
+        for i, s in zip(indices, labels, strict=True):
+            current = loop.peek_block(i)
+            loop.read_block(i, s)
+            loop.write_block(i, current, s)
+        assert batched.read_blocks(indices, labels) == reads
+        batched.write_blocks(indices, datas, labels)
+        batched.read_write_blocks(indices, None, labels)
+        _assert_identical(loop, batched)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cycles=cycles_strategy, charge_only=st.booleans())
+    def test_backend_call_sequence(self, cycles, charge_only):
+        """Pin the backend calls each batched call issues (method, indices,
+        data, order): crash sweeps index into this sequence
+        (``FaultInjectingBackend.arm``)."""
+        backend = _RecordingBackend(MemoryBackend(BLOCK_SIZE, NUM_BLOCKS))
+        storage = RawStorage(StorageGeometry(BLOCK_SIZE, NUM_BLOCKS), backend=backend)
+        reads = [r for r, _, _, _ in cycles]
+        writes = [w for _, w, _, _ in cycles]
+        datas = [d for _, _, d, _ in cycles]
+
+        storage.read_blocks(reads)
+        storage.write_blocks(writes, datas)
+        expected = [("read_many", reads, None), ("write_many", writes, datas)] if cycles else []
+        assert backend.calls == expected
+
+        backend.calls.clear()
+        if charge_only:
+            storage.read_write_blocks(reads)
+            expected = []
+        else:
+            storage.read_write_blocks(reads, datas, write_indices=writes)
+            blocks_per_cycle = [{r, w} for r, w in zip(reads, writes, strict=True)]
+            touched = [block for blocks in blocks_per_cycle for block in blocks]
+            if len(set(touched)) == len(touched):
+                expected = [("write_many", writes, datas)] if cycles else []
+            else:
+                expected = [
+                    call
+                    for r, w, d in zip(reads, writes, datas, strict=True)
+                    for call in (("read", [r], None), ("write", [w], [d]))
+                ]
+        assert backend.calls == expected
+
     def test_duplicate_write_targets_last_writer_wins(self):
         loop, batched = _timed_pair()
         batch = [(5, b"\x01" * BLOCK_SIZE), (5, b"\x02" * BLOCK_SIZE), (9, b"\x03" * BLOCK_SIZE)]
@@ -144,6 +263,108 @@ class TestBatchedDeviceEquivalence:
         _assert_identical(loop, batched)
         # Events are recorded with raw (translated) indices.
         assert loop.trace.events[0].index == 32 + 3
+
+
+#: The batched calls, each with the defects its arguments can carry and
+#: the error each defect must raise.
+_DEFECTS = {
+    "read_blocks": ("index -1", "index num_blocks", "streams one short"),
+    "write_blocks": ("index -1", "index num_blocks", "short data", "streams one short"),
+    "read_write_blocks in place": (
+        "index -1",
+        "index num_blocks",
+        "short data",
+        "streams one short",
+    ),
+    "read_write_blocks charge only": ("index -1", "index num_blocks", "streams one short"),
+    "read_write_blocks swap": (
+        "index -1",
+        "index num_blocks",
+        "write index -1",
+        "write index num_blocks",
+        "short data",
+        "streams one short",
+        "write_indices one long",
+        "write_indices one short",
+    ),
+}
+_ERRORS = {
+    "index -1": (BlockOutOfRangeError, "outside volume"),
+    "index num_blocks": (BlockOutOfRangeError, "outside volume"),
+    "write index -1": (BlockOutOfRangeError, "outside volume"),
+    "write index num_blocks": (BlockOutOfRangeError, "outside volume"),
+    "short data": (BlockSizeMismatchError, "-byte block"),
+    "streams one short": (ValueError, "streams"),
+    "write_indices one long": (ValueError, "write indices"),
+    "write_indices one short": (ValueError, "write indices"),
+}
+
+
+def _observables(storage: RawStorage) -> tuple:
+    return (
+        storage.raw_bytes(),
+        storage.counters.snapshot(),
+        storage.clock_ms,
+        storage._head_position,
+        len(storage.trace),
+    )
+
+
+class TestFailedBatchLeavesNoTrace:
+    """A batched call that raises has done nothing: every index, data size
+    and length is validated before the first charge, trace row or byte."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=st.sampled_from(
+            [(call, defect) for call, defects in _DEFECTS.items() for defect in defects]
+        ),
+        batch=writes_strategy.filter(bool),
+        draw=st.data(),
+    )
+    def test_failed_batch_changes_nothing(self, case, batch, draw):
+        call, defect = case
+        storage = make_storage(num_blocks=NUM_BLOCKS, block_size=BLOCK_SIZE, timed=True)
+        # Some history first, so head, clock and trace are not at their zeros.
+        storage.read_block(7, "h")
+        storage.write_block(40, b"\x07" * BLOCK_SIZE, "h")
+
+        count = len(batch)
+        indices = [i for i, _ in batch]
+        datas = [d for _, d in batch]
+        write_indices = draw.draw(
+            st.lists(st.integers(0, NUM_BLOCKS - 1), min_size=count, max_size=count)
+        )
+        streams = draw.draw(st.lists(stream_strategy, min_size=count, max_size=count))
+        position = draw.draw(st.integers(0, count - 1))
+        bad_index = -1 if defect.endswith("-1") else NUM_BLOCKS
+        if defect.startswith("index"):
+            indices[position] = bad_index
+        elif defect.startswith("write index"):
+            write_indices[position] = bad_index
+        elif defect == "short data":
+            datas[position] = datas[position][:-1]
+        elif defect == "streams one short":
+            del streams[position]
+        elif defect == "write_indices one long":
+            write_indices.insert(position, 0)
+        else:
+            del write_indices[position]
+
+        before = _observables(storage)
+        error, message = _ERRORS[defect]
+        with pytest.raises(error, match=message):
+            if call == "read_blocks":
+                storage.read_blocks(indices, streams)
+            elif call == "write_blocks":
+                storage.write_blocks(indices, datas, streams)
+            elif call == "read_write_blocks in place":
+                storage.read_write_blocks(indices, datas, streams)
+            elif call == "read_write_blocks charge only":
+                storage.read_write_blocks(indices, None, streams)
+            else:
+                storage.read_write_blocks(indices, datas, streams, write_indices=write_indices)
+        assert _observables(storage) == before
 
 
 class TestGeometryFromCapacity:

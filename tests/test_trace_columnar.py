@@ -172,6 +172,12 @@ class TestColumnarEquivalence:
                 for op, index, time_ms, stream in part:
                     batched.record(op, index, time_ms, stream)
         assert batched == loop
+        # between() trusts the time-sorted flag, so a batched append that
+        # wrongly kept the flag would return different windows.
+        for _, _, start, _ in raw[:8]:
+            for width in (0.5, 50.0, 1e9):
+                window = (start, start + width)
+                assert list(batched.between(*window)) == list(loop.between(*window))
 
 
 class TestColumnarApi:
