@@ -332,7 +332,9 @@ class JournalBackend(PlanJournal):
         fill = Sha256Prng(key).spawn("journal-format").random_bytes(num_slots * record_size)
         fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
         try:
-            os.write(fd, fill)
+            view = memoryview(fill)
+            while view:
+                view = view[os.write(fd, view) :]
             file = os.fdopen(fd, "r+b")
         except BaseException:
             os.close(fd)
@@ -397,8 +399,9 @@ class JournalBackend(PlanJournal):
 
     def _scan(self, data: bytes) -> None:
         records: list[_ParsedRecord] = []
+        size = self._record_size
         for slot in range(self._num_slots):
-            parsed = self._parse_record(data[slot * self._record_size :][: self._record_size])
+            parsed = self._parse_record(data[slot * size : (slot + 1) * size])
             if parsed is not None and parsed.seq % self._num_slots == slot:
                 records.append(parsed)
         self._next_seq = max((r.seq for r in records), default=-1) + 1

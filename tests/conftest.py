@@ -7,10 +7,13 @@ place where paper-scale parameters are used.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.nonvolatile import NonVolatileAgent
 from repro.core.volatile import VolatileAgent
+from repro.crypto.cipher import FieldCipher
 from repro.crypto.keys import FileAccessKey
 from repro.crypto.prng import Sha256Prng
 from repro.stegfs.filesystem import StegFsVolume
@@ -77,3 +80,19 @@ def make_storage(num_blocks: int = TEST_NUM_BLOCKS, block_size: int = TEST_BLOCK
     store = RawStorage(geometry, latency=None if timed else ZeroLatencyModel())
     store.fill_random(seed=seed)
     return store
+
+
+class ReferenceFieldCipher(FieldCipher):
+    """Per-byte oracle for ``FastFieldCipher``: same SHAKE-256 keystream,
+    naive Python XOR loop instead of the vectorized one."""
+
+    def __init__(self, key: bytes):
+        self._key = bytes(key)
+
+    def encrypt(self, iv: bytes, plaintext: bytes) -> bytes:
+        stream = hashlib.shake_256(self._key + bytes(iv)).digest(max(1, len(plaintext)))
+        # strict=False: the stream is one byte long even for empty plaintext.
+        return bytes(p ^ s for p, s in zip(plaintext, stream, strict=False))
+
+    def decrypt(self, iv: bytes, ciphertext: bytes) -> bytes:
+        return self.encrypt(iv, ciphertext)

@@ -13,15 +13,13 @@ scans to straightforward per-byte/per-bit reference implementations.
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.nonvolatile import NonVolatileAgent
 from repro.core.oblivious.store import ObliviousStore, ObliviousStoreConfig
-from repro.crypto.cipher import FastFieldCipher, FieldCipher
+from repro.crypto.cipher import FastFieldCipher
 from repro.crypto.keys import FileAccessKey
 from repro.crypto.prng import Sha256Prng
 from repro.errors import BlockOutOfRangeError, BlockSizeMismatchError
@@ -31,7 +29,7 @@ from repro.storage.bitmap import Bitmap
 from repro.storage.device import Partition, RawDevice, split_volume
 from repro.storage.disk import RawStorage, StorageGeometry
 
-from conftest import make_storage
+from conftest import ReferenceFieldCipher, make_storage
 
 BLOCK_SIZE = 64
 NUM_BLOCKS = 128
@@ -393,20 +391,7 @@ class TestGeometryFromCapacity:
             assert geometry.capacity_bytes >= capacity
 
 
-class ReferenceFieldCipher(FieldCipher):
-    """Per-byte oracle for ``FastFieldCipher``: same SHAKE-256 keystream,
-    naive Python XOR loop instead of the vectorized one."""
-
-    def __init__(self, key: bytes):
-        self._key = bytes(key)
-
-    def encrypt(self, iv: bytes, plaintext: bytes) -> bytes:
-        stream = hashlib.shake_256(self._key + bytes(iv)).digest(max(1, len(plaintext)))
-        # strict=False: the stream is one byte long even for empty plaintext.
-        return bytes(p ^ s for p, s in zip(plaintext, stream, strict=False))
-
-    def decrypt(self, iv: bytes, ciphertext: bytes) -> bytes:
-        return self.encrypt(iv, ciphertext)
+_FIELD = bytes(range(256)) * 16
 
 
 class TestVectorizedCipherEquivalence:
@@ -416,6 +401,16 @@ class TestVectorizedCipherEquivalence:
         iv=st.binary(min_size=1, max_size=16),
         plaintext=st.binary(min_size=0, max_size=200),
     )
+    # The sizes single-block callers seal: the 496- and 4080-byte data
+    # fields of 512 B and 4 KiB blocks (4080 is also a sealed journal
+    # record), plus edge sizes and a mutable buffer.
+    @example(key=b"k", iv=bytes(16), plaintext=_FIELD[:0])
+    @example(key=b"k", iv=bytes(16), plaintext=_FIELD[:1])
+    @example(key=b"k", iv=bytes(16), plaintext=_FIELD[:7])
+    @example(key=b"k", iv=bytes(16), plaintext=_FIELD[:496])
+    @example(key=b"k", iv=bytes(16), plaintext=_FIELD[:4080])
+    @example(key=b"k", iv=bytes(16), plaintext=_FIELD)
+    @example(key=b"k", iv=bytes(16), plaintext=bytearray(_FIELD[:4080]))
     def test_encrypt_matches_reference(self, key, iv, plaintext):
         fast = FastFieldCipher(key)
         reference = ReferenceFieldCipher(key)
