@@ -309,8 +309,10 @@ class StegAgent(ABC):
         """
         if self.plan_journal is not None:
             # Deletion is pure bookkeeping; its plan is deliberately
-            # empty, and journalling it keeps the intent log complete.
-            # With no device I/O to land, it commits immediately.
+            # empty.  An in-memory journal lists it; the durable journal
+            # persists nothing for a plan with no write target, so the
+            # sidecar stays as unchanged as the volume.  With no device
+            # I/O to land, it commits immediately.
             self.plan_journal.record(IoPlan([], label="delete_file"))
             self.plan_journal.mark_committed()
         self._unregister_handle(handle)

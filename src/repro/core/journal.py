@@ -1,10 +1,10 @@
 """Durable, cipher-sealed plan journal: the crash-consistency intent log.
 
-:class:`JournalBackend` persists every :class:`~repro.core.plan.PlanJournal`
-entry to a fixed-size sidecar file next to the volume image
-(``<volume>.journal``) so that a process killed mid-plan can be rolled
-back to the plan's pre-image on the next
-:meth:`~repro.service.HiddenVolumeService.open`.
+:class:`JournalBackend` persists the rollback data of every
+:class:`~repro.core.plan.PlanJournal` entry that writes to a fixed-size
+sidecar file next to the volume image (``<volume>.journal``) so that a
+process killed mid-plan can be rolled back to the plan's pre-image on
+the next :meth:`~repro.service.HiddenVolumeService.open`.
 
 Design constraints, in the paper's threat model:
 
@@ -13,8 +13,19 @@ Design constraints, in the paper's threat model:
   a fresh-IV :class:`~repro.crypto.FastFieldCipher` seal over a
   digest-protected body.  To an adversary without the key the file is
   byte-uniform noise of constant size — it passes the same seized-disk
-  chi-square scan as the volume image, and dummy plans are journalled
-  exactly like real ones, so the journal leaks no update-rate signal.
+  chi-square scan as the volume image.
+* **Only plans that write reach the sidecar.**  An entry holds exactly
+  what rollback reads — the plan's label in a fixed-width field and the
+  before-image of every block the plan writes — so the records one
+  plan appends are a function of how many distinct blocks it writes
+  alone: a real update and a dummy update that write the same number
+  of blocks rewrite the same number of slots.  A plan that writes
+  nothing (a read, a delete) appends no record at all, so between
+  checkpoints the sidecar changes only when the volume does.  No step
+  data is persisted, so no file key is ever sealed under the journal
+  key.  What an adversary imaging the sidecar between flushes can
+  still count is writing plans: each costs one record beyond its
+  before-images, plus a commit marker.
 * **Old-or-new, not redo.**  Records carry *before-images* (undo), not
   replay instructions: replaying a reseal against a block the crash
   tore would reseal garbage, while writing back the captured pre-image
@@ -49,6 +60,17 @@ commit marker, or a checkpoint whose ``aux`` is the *kill sequence*:
 every record with ``seq <= aux`` is dead.  Checkpoints never advance
 the kill sequence past a recorded-but-uncommitted entry, which is the
 invariant that makes slot reuse safe.
+
+An entry's payload is::
+
+    label_len (2) || label || step_count (4) || step*
+    || undo_count (4) || ( index (8) || image_len (4) || before-image )*
+
+:meth:`JournalBackend.record` writes the label NUL-padded to
+``_LABEL_WIDTH`` bytes and ``step_count = 0``.  Sidecars written before
+entries dropped their steps carry a variable-width label and the plan's
+steps.  They decode and recover the same way; their steps only fill the
+in-memory mirror, :attr:`~repro.core.plan.PlanJournal.entries`.
 """
 
 from __future__ import annotations
@@ -87,6 +109,10 @@ _STEP_WRITE = 1
 _STEP_CYCLE = 2
 _STEP_RESEAL = 3
 
+#: Every label ``record`` persists is padded to this many UTF-8 bytes, so
+#: an entry's length never depends on which plan it journals.
+_LABEL_WIDTH = 64
+
 DEFAULT_NUM_SLOTS = 256
 DEFAULT_RECORD_SIZE = 4096
 
@@ -110,12 +136,6 @@ def _digest(iv: bytes, body: bytes) -> bytes:
 def _pack_bytes(out: bytearray, data: bytes) -> None:
     out += len(data).to_bytes(4, "big")
     out += data
-
-
-def _pack_str(out: bytearray, text: str) -> None:
-    encoded = text.encode("utf-8")
-    out += len(encoded).to_bytes(2, "big")
-    out += encoded
 
 
 class _Reader:
@@ -151,35 +171,8 @@ class _Reader:
         return self.take(self.u16()).decode("utf-8")
 
 
-def _encode_step(out: bytearray, step: Step) -> None:
-    if isinstance(step, ReadStep):
-        out += bytes([_STEP_READ])
-        out += step.index.to_bytes(8, "big")
-        out += bytes([1 if step.keep else 0, 1 if step.cipher is not None else 0])
-        _pack_str(out, step.stream)
-    elif isinstance(step, WriteStep):
-        out += bytes([_STEP_WRITE])
-        out += step.index.to_bytes(8, "big")
-        _pack_str(out, step.stream)
-        _pack_bytes(out, step.data)
-    elif isinstance(step, CycleStep):
-        out += bytes([_STEP_CYCLE])
-        out += step.read_index.to_bytes(8, "big")
-        out += step.write_index.to_bytes(8, "big")
-        _pack_str(out, step.stream)
-        _pack_bytes(out, step.data)
-    elif isinstance(step, ResealStep):
-        out += bytes([_STEP_RESEAL])
-        out += step.index.to_bytes(8, "big")
-        out += bytes([1 if step.batched else 0])
-        _pack_str(out, step.stream)
-        _pack_bytes(out, step.key)
-        _pack_bytes(out, step.new_iv)
-    else:  # pragma: no cover - the Step union is closed
-        raise TypeError(f"not a journallable step: {step!r}")
-
-
 def _decode_step(reader: _Reader) -> Step:
+    # Only sidecars written before entries dropped their steps carry any.
     tag = reader.u8()
     if tag == _STEP_READ:
         index = reader.u64()
@@ -204,14 +197,16 @@ def _decode_step(reader: _Reader) -> Step:
     raise JournalError(f"unknown journal step tag {tag}")
 
 
-def _encode_entry(
-    label: str, steps: Sequence[Step], undo: Sequence[tuple[int, bytes]]
-) -> bytes:
+def _encode_entry(label: str, undo: Sequence[tuple[int, bytes]]) -> bytes:
+    encoded = label.encode("utf-8")
+    if len(encoded) > _LABEL_WIDTH:
+        raise JournalError(
+            f"plan label {label!r} is longer than the {_LABEL_WIDTH}-byte journal label field"
+        )
     out = bytearray()
-    _pack_str(out, label)
-    out += len(steps).to_bytes(4, "big")
-    for step in steps:
-        _encode_step(out, step)
+    out += _LABEL_WIDTH.to_bytes(2, "big")
+    out += encoded.ljust(_LABEL_WIDTH, b"\0")
+    out += bytes(4)  # step_count: entries persist no steps
     out += len(undo).to_bytes(4, "big")
     for index, raw in undo:
         out += index.to_bytes(8, "big")
@@ -221,7 +216,7 @@ def _encode_entry(
 
 def _decode_entry(payload: bytes) -> tuple[str, tuple[Step, ...], list[tuple[int, bytes]]]:
     reader = _Reader(payload)
-    label = reader.text()
+    label = reader.text().rstrip("\0")
     steps = tuple(_decode_step(reader) for _ in range(reader.u32()))
     undo = [(reader.u64(), reader.raw()) for _ in range(reader.u32())]
     return label, steps, undo
@@ -533,26 +528,28 @@ class JournalBackend(PlanJournal):
         return self._record_size - _HEADER_SIZE
 
     def record(self, plan: IoPlan) -> None:
-        """Persist the plan's steps plus before-images of every block it writes.
+        """Persist what rollback reads: the plan's label and its before-images.
 
-        The write-ahead contract makes this run strictly before the
-        plan's first device request, so the captured images are the
-        pre-plan bytes rollback must restore.
+        One before-image per distinct block the plan writes, captured
+        strictly before the plan's first device request (the
+        write-ahead contract), so they are the pre-plan bytes rollback
+        must restore.  The label is padded to a fixed width (a wider
+        one raises :class:`JournalError` before any record is written)
+        and no step is persisted, so the records appended depend only
+        on how many blocks the plan writes.  A plan with no write
+        target has nothing to roll back, so it is not journalled at
+        all: no entry, no commit marker, no place in :attr:`entries`.
         """
         self._require_open()
         if self._backend is None:
             raise JournalError("bind() a block backend before recording plans")
-        targets: list[int] = []
-        seen: set[int] = set()
-        for step in plan.steps:
-            for index in _write_targets(step):
-                if index not in seen:
-                    seen.add(index)
-                    targets.append(index)
+        targets = dict.fromkeys(index for step in plan.steps for index in _write_targets(step))
+        if not targets:
+            return
         undo = [(index, self._backend.read(index)) for index in targets]
-        payload = _encode_entry(plan.label, plan.steps, undo)
+        payload = _encode_entry(plan.label, undo)
         capacity = self._payload_capacity
-        fragments = [payload[i : i + capacity] for i in range(0, len(payload), capacity)] or [b""]
+        fragments = [payload[i : i + capacity] for i in range(0, len(payload), capacity)]
         entry_id = self._next_seq
         # Register before writing parts: an auto-checkpoint triggered by
         # a later part must not kill the earlier ones.
