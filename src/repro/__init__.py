@@ -27,9 +27,6 @@ Experiments are declared, not hand-wired:
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 from repro.core.agent import StegAgent, UpdateResult
 from repro.core.journal import JournalBackend
 from repro.core.nonvolatile import NonVolatileAgent
@@ -83,7 +80,7 @@ from repro.storage import (
 )
 from repro.workloads.filegen import FileSpec
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # -- session-oriented service facade (the primary public surface)
@@ -148,80 +145,4 @@ __all__ = [
     "IoTrace",
     "take_snapshot",
     "diff_snapshots",
-    # -- deprecated shims (use HiddenVolumeService instead)
-    "SteghideSystem",
-    "build_steghide_system",
-    "build_nonvolatile_system",
 ]
-
-
-# -- deprecated pre-2.0 surface ----------------------------------------------------
-#
-# ``build_steghide_system``/``build_nonvolatile_system`` predate the
-# session facade.  They remain as thin shims over
-# :meth:`HiddenVolumeService.create` (identical wiring and PRNG
-# derivation, hence bit-identical device traces) and will be removed in
-# a future release.
-
-
-@dataclass
-class SteghideSystem:
-    """Deprecated bundle of storage, volume and agent.
-
-    Produced by the deprecated :func:`build_steghide_system` /
-    :func:`build_nonvolatile_system` shims; new code should hold a
-    :class:`HiddenVolumeService` and work through sessions.
-    """
-
-    storage: RawStorage
-    volume: StegFsVolume
-    agent: StegAgent
-    prng: Sha256Prng
-
-    def new_fak(self, is_dummy: bool = False) -> FileAccessKey:
-        """Generate a fresh file access key from the system PRNG."""
-        return FileAccessKey.generate(
-            self.prng.spawn(f"fak-{id(self)}-{self.prng.random()}"), is_dummy
-        )
-
-
-def _legacy_system(
-    construction: str, volume_mib: int, seed: int, block_size: int
-) -> SteghideSystem:
-    service = HiddenVolumeService.create(
-        construction, volume_mib=volume_mib, seed=seed, block_size=block_size
-    )
-    return SteghideSystem(
-        storage=service.storage, volume=service.volume, agent=service.agent, prng=service.prng
-    )
-
-
-def build_steghide_system(
-    volume_mib: int = 64, seed: int = 0, block_size: int = 4096
-) -> SteghideSystem:
-    """Deprecated: build a volatile-agent (Construction 2, "StegHide") system.
-
-    Use ``HiddenVolumeService.create("volatile", ...)`` instead.
-    """
-    warnings.warn(
-        "build_steghide_system is deprecated; use HiddenVolumeService.create('volatile', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _legacy_system("volatile", volume_mib, seed, block_size)
-
-
-def build_nonvolatile_system(
-    volume_mib: int = 64, seed: int = 0, block_size: int = 4096
-) -> SteghideSystem:
-    """Deprecated: build a non-volatile-agent (Construction 1, "StegHide*") system.
-
-    Use ``HiddenVolumeService.create("nonvolatile", ...)`` instead.
-    """
-    warnings.warn(
-        "build_nonvolatile_system is deprecated; "
-        "use HiddenVolumeService.create('nonvolatile', ...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _legacy_system("nonvolatile", volume_mib, seed, block_size)

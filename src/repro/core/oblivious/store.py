@@ -44,15 +44,10 @@ class ObliviousStoreConfig:
         Size of the agent's in-memory buffer, in blocks (``B``).
     last_level_blocks:
         Size of the last level (``N``); must be at least ``2 B``.
-    charge_sort_io:
-        When True (default) level re-orders perform the external merge
-        sort passes on the device; tests that only care about the
-        functional behaviour can switch the charging off.
     """
 
     buffer_blocks: int
     last_level_blocks: int
-    charge_sort_io: bool = True
 
     def __post_init__(self) -> None:
         if self.buffer_blocks <= 1:
@@ -66,7 +61,6 @@ class ObliviousStoreStats:
     """I/O and timing accounting split into retrieval and sorting phases."""
 
     retrieval_reads: int = 0
-    retrieval_writes: int = 0
     sort_reads: int = 0
     sort_writes: int = 0
     retrieval_time_ms: float = 0.0
@@ -78,7 +72,7 @@ class ObliviousStoreStats:
 
     @property
     def total_ops(self) -> int:
-        return self.retrieval_reads + self.retrieval_writes + self.sort_reads + self.sort_writes
+        return self.retrieval_reads + self.sort_reads + self.sort_writes
 
     @property
     def total_time_ms(self) -> float:
@@ -98,17 +92,10 @@ class ObliviousStoreStats:
 class ObliviousStore:
     """Hierarchical oblivious cache over one partition of the raw storage."""
 
-    def __init__(
-        self,
-        device: BlockDevice,
-        config: ObliviousStoreConfig,
-        prng: Sha256Prng,
-        cipher_factory=FastFieldCipher,
-    ):
+    def __init__(self, device: BlockDevice, config: ObliviousStoreConfig, prng: Sha256Prng):
         self.device = device
         self.config = config
         self._prng = prng.spawn("oblivious")
-        self._cipher_factory = cipher_factory
         self._ciphers: dict[bytes, FieldCipher] = {}
         self.stats = ObliviousStoreStats()
 
@@ -139,7 +126,7 @@ class ObliviousStore:
     def _cipher(self, key: bytes) -> FieldCipher:
         cipher = self._ciphers.get(key)
         if cipher is None:
-            cipher = self._cipher_factory(key)
+            cipher = FastFieldCipher(key)
             self._ciphers[key] = cipher
         return cipher
 
@@ -153,28 +140,13 @@ class ObliviousStore:
             )
         return payload + b"\x00" * (self.payload_bytes - len(payload))
 
-    def _read_slot(self, level: Level, slot: int, stream: str, phase: str) -> bytes:
+    def _read_slot(self, slot: int, stream: str) -> bytes:
+        """One retrieval probe: read ``slot`` and charge it to the retrieval phase."""
         started = self._clock()
         raw = self.device.read_block(slot, stream)
-        elapsed = self._clock() - started
-        if phase == "sort":
-            self.stats.sort_reads += 1
-            self.stats.sort_time_ms += elapsed
-        else:
-            self.stats.retrieval_reads += 1
-            self.stats.retrieval_time_ms += elapsed
+        self.stats.retrieval_reads += 1
+        self.stats.retrieval_time_ms += self._clock() - started
         return raw
-
-    def _write_slot(self, slot: int, data: bytes, stream: str, phase: str) -> None:
-        started = self._clock()
-        self.device.write_block(slot, data, stream)
-        elapsed = self._clock() - started
-        if phase == "sort":
-            self.stats.sort_writes += 1
-            self.stats.sort_time_ms += elapsed
-        else:
-            self.stats.retrieval_writes += 1
-            self.stats.retrieval_time_ms += elapsed
 
     # -- membership -----------------------------------------------------------------
 
@@ -203,7 +175,7 @@ class ObliviousStore:
         for level in self.levels:
             slot = level.slot_of(logical_id) if found is None else None
             if slot is not None:
-                raw = self._read_slot(level, slot, stream, "retrieval")
+                raw = self._read_slot(slot, stream)
                 payload = StoredBlock.from_raw(raw).open(self._cipher(level.key))
                 found = payload
             else:
@@ -229,7 +201,7 @@ class ObliviousStore:
             for level in self.levels:
                 slot = level.slot_of(logical_id) if not found else None
                 if slot is not None:
-                    self._read_slot(level, slot, stream, "retrieval")
+                    self._read_slot(slot, stream)
                     found = True
                 else:
                     self._probe_random(level, stream)
@@ -250,7 +222,7 @@ class ObliviousStore:
         if level.is_empty and level.shuffles == 0:
             return
         slot = level.first_slot + self._prng.randrange(level.capacity)
-        self._read_slot(level, slot, stream, "retrieval")
+        self._read_slot(slot, stream)
 
     # -- buffer and dumping --------------------------------------------------------------
 
@@ -290,23 +262,28 @@ class ObliviousStore:
         merged = self._level_entries(next_level)
         merged.update(incoming)
         if len(merged) > next_level.capacity:
-            merged = self._evict(merged, next_level.capacity, keep=set(incoming))
+            merged = self._evict(merged, next_level, keep=set(incoming))
         self._shuffle_into_level(next_level, merged, stream)
         level.clear()
 
-    def _evict(self, entries: dict[int, bytes], capacity: int, keep: set[int]) -> dict[int, bytes]:
+    def _evict(self, entries: dict[int, bytes], level: Level, keep: set[int]) -> dict[int, bytes]:
         """Drop clean copies when the last level overflows.
 
         The dropped blocks still live in the StegFS partition, so evicting
-        them only means a future read will re-copy them in.
+        them only means a future read will re-copy them in.  A dropped
+        copy may be a stale one: a fresher copy of the same id can still
+        sit in the buffer or in another level, and the plaintext shadow
+        is shared by every copy, so it goes only with the last one.
         """
-        excess = len(entries) - capacity
+        excess = len(entries) - level.capacity
         droppable = sorted(lid for lid in entries if lid not in keep)
+        others = [other for other in self.levels if other is not level]
         for lid in droppable[:excess]:
             del entries[lid]
-            self._payloads.pop(lid, None)
+            if lid not in self._buffer and not any(other.contains(lid) for other in others):
+                self._payloads.pop(lid, None)
             self.stats.evictions += 1
-        if len(entries) > capacity:
+        if len(entries) > level.capacity:
             raise ObliviousStorageError(
                 "the last level cannot hold the working set; enlarge last_level_blocks"
             )
@@ -332,63 +309,36 @@ class ObliviousStore:
         # Sorting I/O is tagged with its own stream so analyses can separate
         # the (request-independent) re-order traffic from the probe traffic.
         sort_stream = f"{stream}-sort"
-        if self.config.charge_sort_io:
-            passes = external_merge_sort_passes(level.capacity, self.config.buffer_blocks)
-            slots = list(level.slot_range())
-            # Pre-seal the final level contents.  The PRNG draws happen in
-            # slot order — dummy payload then IV — exactly as the per-slot
-            # loop drew them, so the written bytes are unchanged; the
-            # encryption itself runs through one batched encrypt_many.
-            payloads = []
-            ivs = []
-            for local_slot in range(level.capacity):
-                logical_id = occupied_slots.get(local_slot)
-                if logical_id is not None:
-                    payloads.append(entries[logical_id])
-                else:
-                    payloads.append(self._prng.random_bytes(self.payload_bytes))
-                ivs.append(self._prng.random_bytes(BLOCK_IV_SIZE))
-            ciphertexts = cipher.encrypt_many(ivs, payloads)
-            datas = [iv + ciphertext for iv, ciphertext in zip(ivs, ciphertexts, strict=True)]
-
-            read_write_blocks = getattr(self.device, "read_write_blocks", None)
-            for pass_number in range(passes):
-                final = pass_number == passes - 1
-                if read_write_blocks is not None:
-                    # One batched device call per pass; non-final passes
-                    # rewrite each slot with its current bytes, the final
-                    # pass installs the freshly sealed permutation.  The
-                    # per-slot read/write interleaving (and therefore the
-                    # trace and the sequential-I/O cost) is identical to
-                    # the loop below.
-                    started = self._clock()
-                    read_write_blocks(slots, datas if final else None, sort_stream)
-                    elapsed = self._clock() - started
-                    self.stats.sort_reads += len(slots)
-                    self.stats.sort_writes += len(slots)
-                    self.stats.sort_time_ms += elapsed
-                else:
-                    for local_slot, slot in enumerate(slots):
-                        raw = self._read_slot(level, slot, sort_stream, "sort")
-                        if final:
-                            raw = datas[local_slot]
-                        self._write_slot(slot, raw, sort_stream, "sort")
-        else:
-            items = list(placements.items())
-            ivs = [self._prng.random_bytes(BLOCK_IV_SIZE) for _ in items]
-            ciphertexts = cipher.encrypt_many(ivs, [entries[lid] for lid, _ in items])
-            indices = [level.first_slot + local_slot for _, local_slot in items]
-            datas = [iv + ciphertext for iv, ciphertext in zip(ivs, ciphertexts, strict=True)]
-            write_blocks = getattr(self.device, "write_blocks", None)
-            if write_blocks is not None and indices:
-                started = self._clock()
-                write_blocks(indices, datas, sort_stream)
-                elapsed = self._clock() - started
-                self.stats.sort_writes += len(indices)
-                self.stats.sort_time_ms += elapsed
+        passes = external_merge_sort_passes(level.capacity, self.config.buffer_blocks)
+        slots = list(level.slot_range())
+        # Pre-seal the final level contents.  The PRNG draws happen in
+        # slot order — dummy payload then IV — so the written bytes are
+        # those of a per-slot loop; the encryption itself runs through
+        # one batched encrypt_many.
+        payloads = []
+        ivs = []
+        for local_slot in range(level.capacity):
+            logical_id = occupied_slots.get(local_slot)
+            if logical_id is not None:
+                payloads.append(entries[logical_id])
             else:
-                for index, data in zip(indices, datas, strict=True):
-                    self._write_slot(index, data, sort_stream, "sort")
+                payloads.append(self._prng.random_bytes(self.payload_bytes))
+            ivs.append(self._prng.random_bytes(BLOCK_IV_SIZE))
+        ciphertexts = cipher.encrypt_many(ivs, payloads)
+        datas = [iv + ciphertext for iv, ciphertext in zip(ivs, ciphertexts, strict=True)]
+
+        for pass_number in range(passes):
+            # One batched device call per pass, each slot read then
+            # written in slot order: non-final passes rewrite each slot
+            # with its current bytes, the final pass installs the freshly
+            # sealed permutation.
+            started = self._clock()
+            self.device.read_write_blocks(
+                slots, datas if pass_number == passes - 1 else None, sort_stream
+            )
+            self.stats.sort_reads += len(slots)
+            self.stats.sort_writes += len(slots)
+            self.stats.sort_time_ms += self._clock() - started
 
         level.install(placements, new_key)
         self.stats.shuffles += 1

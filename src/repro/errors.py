@@ -7,8 +7,6 @@ still being able to distinguish the individual failure modes.
 
 from __future__ import annotations
 
-import warnings
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -153,27 +151,3 @@ class WorkloadError(ReproError):
 
 class SimulationError(ReproError):
     """Base class for errors in the simulation engine."""
-
-
-# -- deprecated aliases -------------------------------------------------------------
-#
-# The trailing-underscore names predate the ``Hidden*`` spelling; they
-# resolve to the same classes (so existing ``except`` clauses keep
-# working) but warn on import/attribute access.
-
-_DEPRECATED_ALIASES = {
-    "FileNotFoundError_": HiddenFileNotFoundError,
-    "FileExistsError_": HiddenFileExistsError,
-}
-
-
-def __getattr__(name: str):
-    replacement = _DEPRECATED_ALIASES.get(name)
-    if replacement is not None:
-        warnings.warn(
-            f"repro.errors.{name} is deprecated; use repro.errors.{replacement.__name__}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return replacement
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,7 @@ the whole tree — so this module builds it once per lint run:
 
 The graph is a *may-call* over-approximation where receivers resolve
 and an under-approximation where they do not (dynamic callables such as
-``request.execute()`` produce no edge); each rule documents how it
+``request.call()`` produce no edge); each rule documents how it
 lives with that.
 """
 

@@ -124,29 +124,23 @@ _GATHER_TIMEOUT_S = 0.0005
 class _Request:
     """One queued operation: inputs, a completion event, and the outcome.
 
-    ``plan_call`` is set on plannable requests (reads; writes and
-    appends when write fusion is on); it is what lets the scheduler
-    turn them into :class:`~repro.core.plan.IoPlan` objects and fuse
-    them across sessions instead of running ``execute`` (the unbatched
-    fallback semantics).
+    ``call`` runs on the scheduler thread.  On a ``planned`` request
+    (plain reads, writes and appends) it returns the
+    :class:`~repro.core.plan.PlannedOp` the scheduler buffers and fuses
+    across sessions; every other request's ``call`` is the operation
+    itself, executed one at a time.
     """
 
-    __slots__ = ("kind", "user", "execute", "done", "result", "error", "plan_call")
+    __slots__ = ("kind", "user", "call", "planned", "done", "result", "error")
 
-    def __init__(
-        self,
-        kind: str,
-        user: str,
-        execute: Callable[[], Any],
-        plan_call: Callable[[], PlannedOp] | None = None,
-    ):
+    def __init__(self, kind: str, user: str, call: Callable[[], Any], planned: bool = False):
         self.kind = kind
         self.user = user
-        self.execute = execute
+        self.call = call
+        self.planned = planned
         self.done = threading.Event()
         self.result: Any = None
         self.error: BaseException | None = None
-        self.plan_call = plan_call
 
     def fulfil(self, result: Any = None, error: BaseException | None = None) -> None:
         self.result = result
@@ -250,40 +244,23 @@ class ConcurrentSession:
                 "read", self.user, lambda s=self._session: s.read(path, at, size, oblivious=True)
             )
         return self._engine._run(
-            "read",
-            self.user,
-            lambda s=self._session: s.read(path, at, size),
-            plan_call=lambda s=self._session: s.plan_read(path, at, size),
+            "read", self.user, lambda s=self._session: s.plan_read(path, at, size), planned=True
         )
 
     def write(self, path: str, data: bytes, at: int = 0):
         """Overwrite ``data`` at offset ``at`` through the Figure-6 path.
 
-        With write fusion on (the default), the update is planned and
-        its steps fuse with adjacent sessions' reads, writes and cycles.
+        The update is planned, and its steps fuse with adjacent
+        sessions' reads, writes and cycles.
         """
         return self._engine._run(
-            "write",
-            self.user,
-            lambda s=self._session: s.write(path, data, at),
-            plan_call=(
-                (lambda s=self._session: s.plan_write(path, data, at))
-                if self._engine.fuse_writes
-                else None
-            ),
+            "write", self.user, lambda s=self._session: s.plan_write(path, data, at), planned=True
         )
 
     def append(self, path: str, data: bytes) -> FileStat:
         """Grow the file by ``data`` bytes at its end."""
         return self._engine._run(
-            "append",
-            self.user,
-            lambda s=self._session: s.append(path, data),
-            plan_call=(
-                (lambda s=self._session: s.plan_append(path, data))
-                if self._engine.fuse_writes
-                else None
-            ),
+            "append", self.user, lambda s=self._session: s.plan_append(path, data), planned=True
         )
 
     def delete(self, path: str) -> None:
@@ -327,11 +304,6 @@ class ConcurrentVolumeService:
         the cap on one fused plan buffer).  Within a quantum, adjacent
         planned steps fuse into batched device calls, and the quantum's
         dummy credit flushes as batched bursts.
-    fuse_writes:
-        When True (default), writes and appends are planned through the
-        plan kernel and fuse across sessions like reads do; ``False``
-        executes them one at a time (the pre-plan-kernel engine), which
-        is the baseline the fusion benchmarks compare against.
     gather_timeout_s:
         How long the scheduler waits for just-fulfilled clients to
         resubmit before serving a narrower batch; ``None`` keeps the
@@ -351,7 +323,6 @@ class ConcurrentVolumeService:
         service: HiddenVolumeService,
         dummy_to_real_ratio: float = 1.0,
         quantum: int = 16,
-        fuse_writes: bool = True,
         gather_timeout_s: float | None = None,
         journal: PlanJournal | None = None,
     ):
@@ -364,7 +335,6 @@ class ConcurrentVolumeService:
         self.service = service
         self.dummy_to_real_ratio = dummy_to_real_ratio
         self.quantum = quantum
-        self.fuse_writes = fuse_writes
         self.gather_timeout_s = (
             _GATHER_TIMEOUT_S if gather_timeout_s is None else gather_timeout_s
         )
@@ -373,9 +343,9 @@ class ConcurrentVolumeService:
         # through the engine too.
         self.journal = journal if journal is not None else service.journal
         if self.journal is not None:
-            # Direct agent executions (creates, dummy bursts, unfused
-            # writes) journal at the agent seam; fused flushes journal
-            # in _flush_plans.  Together the intent log is complete.
+            # Direct agent executions (creates, decoys, dummy bursts)
+            # journal at the agent seam; fused flushes journal in
+            # _flush_plans.  Together the intent log is complete.
             service.agent.plan_journal = self.journal
         self.stats = EngineStats()
         self._queue_lock = threading.Lock()
@@ -478,14 +448,8 @@ class ConcurrentVolumeService:
 
     # -- request intake ---------------------------------------------------------------
 
-    def _run(
-        self,
-        kind: str,
-        user: str,
-        execute: Callable[[], Any],
-        plan_call: Callable[[], PlannedOp] | None = None,
-    ) -> Any:
-        return self._execute(_Request(kind, user, execute, plan_call))
+    def _run(self, kind: str, user: str, call: Callable[[], Any], planned: bool = False) -> Any:
+        return self._execute(_Request(kind, user, call, planned))
 
     def _execute(self, request: _Request) -> Any:
         """Enqueue one request and block until the scheduler fulfils it.
@@ -647,7 +611,7 @@ class ConcurrentVolumeService:
         fulfilled = 0
         try:
             for request in batch:
-                if request.plan_call is not None:
+                if request.planned:
                     if request.kind in ("write", "append") and any(
                         planned.request.user == request.user
                         and planned.request.kind in ("write", "append")
@@ -655,8 +619,8 @@ class ConcurrentVolumeService:
                     ):
                         fulfilled += self._flush_plans(pending)
                     try:
-                        op = request.plan_call()
-                    except BaseException as error:  # relayed, like execute errors
+                        op = request.call()
+                    except BaseException as error:  # relayed, like execution errors
                         request.fulfil(error=error)
                         fulfilled += 1
                         continue
@@ -689,7 +653,7 @@ class ConcurrentVolumeService:
 
     def _execute_one(self, request: _Request) -> None:
         try:
-            result = request.execute()
+            result = request.call()
         except BaseException as error:  # relayed to the submitting thread
             request.fulfil(error=error)
         else:

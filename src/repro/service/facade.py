@@ -233,6 +233,15 @@ class Session:
         hierarchical oblivious store (requires a service created with an
         :class:`ObliviousConfig`), hiding the read pattern from a
         traffic-analysis attacker.
+
+        Known defect: an oblivious read can return the bytes of a
+        block's previous occupant.  The oblivious reader caches blocks
+        by physical index, and nothing drops an entry when a Figure-6
+        update relocates a block or a freed index is reused.  Rounds of
+        "overwrite a 3-block file, create a 1-block file, read both
+        obliviously" returned wrong bytes in 8 of 8 seeds within 17
+        rounds; plain reads stay correct.  ROADMAP.md item 2 (oblivious
+        reads) tracks the fix.
         """
         handle = self._handle(path)
         if at < 0:
@@ -563,10 +572,7 @@ class HiddenVolumeService:
         ``construction`` selects the agent: ``"volatile"`` is the
         paper's Construction 2 ("StegHide", per-user keys, login/logout)
         and ``"nonvolatile"`` is Construction 1 ("StegHide*", agent-held
-        master key).  The wiring and PRNG derivation are identical to
-        the legacy ``build_steghide_system`` helpers, so a service built
-        here produces bit-identical device traces to the old hand-wired
-        path.
+        master key).
 
         With ``path`` the volume is formatted onto a durable
         memory-mapped file instead of process memory: the file receives
@@ -846,7 +852,6 @@ class HiddenVolumeService:
         self,
         dummy_to_real_ratio: float = 1.0,
         quantum: int = 16,
-        fuse_writes: bool = True,
         gather_timeout_s: float | None = None,
         journal: "PlanJournal | None" = None,
     ) -> "ConcurrentVolumeService":
@@ -859,11 +864,10 @@ class HiddenVolumeService:
         threads, serializes them through a fair scheduler, interleaves
         the agent's dummy stream at ``dummy_to_real_ratio`` and fuses
         adjacent block I/O — reads, writes and read/write cycles, across
-        sessions — per scheduling quantum.  ``fuse_writes=False``
-        restricts fusion to reads (the pre-plan-kernel behaviour);
-        ``gather_timeout_s`` overrides how long the scheduler waits for
-        client arrivals before serving a narrower batch (``0`` disables
-        gathering entirely); ``journal`` hooks a
+        sessions — per scheduling quantum.  ``gather_timeout_s``
+        overrides how long the scheduler waits for client arrivals
+        before serving a narrower batch (``0`` disables gathering
+        entirely); ``journal`` hooks a
         :class:`~repro.core.plan.PlanJournal` recording every plan
         before its first device request.
         """
@@ -874,7 +878,6 @@ class HiddenVolumeService:
             self,
             dummy_to_real_ratio=dummy_to_real_ratio,
             quantum=quantum,
-            fuse_writes=fuse_writes,
             gather_timeout_s=gather_timeout_s,
             journal=journal,
         )

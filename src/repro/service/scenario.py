@@ -449,8 +449,6 @@ def _run_concurrency_scenario(scenario: ConcurrencyScenario) -> ExperimentResult
     engine = service.concurrent(
         dummy_to_real_ratio=scenario.dummy_to_real_ratio,
         quantum=scenario.quantum,
-        fuse_writes=scenario.fuse_writes,
-        gather_timeout_s=scenario.gather_timeout_s,
     )
     result = ExperimentResult(scenario=scenario, system=service)
     probes = _make_probes(scenario.attackers)

@@ -107,12 +107,6 @@ class ConcurrencyScenario:
         The engine's dummy-to-real interleave ratio (Section 4.1.3).
     quantum:
         The engine's scheduling quantum (max requests per drain round).
-    fuse_writes:
-        Whether writes/appends are planned and fused across sessions
-        (the plan-kernel engine); ``False`` is the read-only-coalescing
-        baseline.
-    gather_timeout_s:
-        Engine gather wait override; ``None`` keeps the engine default.
     intervals:
         Number of equal slices the run is cut into; attached attacker
         probes observe after each slice (snapshot intervals).
@@ -131,8 +125,6 @@ class ConcurrencyScenario:
     read_fraction: float = 0.7
     dummy_to_real_ratio: float = 1.0
     quantum: int = 16
-    fuse_writes: bool = True
-    gather_timeout_s: float | None = None
     intervals: int = 4
     attackers: tuple = ()
     latency: DiskLatencyModel | None = None

@@ -177,23 +177,13 @@ class StegFsVolume:
             return
         ivs = [self.fresh_iv() for _ in payloads]
         datas = self.seal_payloads(key, payloads, ivs)
-        write_blocks = getattr(self.device, "write_blocks", None)
-        if write_blocks is not None:
-            write_blocks(indices, datas, stream)
-        else:
-            for index, data in zip(indices, datas, strict=True):
-                self.device.write_block(index, data, stream)
+        self.device.write_blocks(indices, datas, stream)
 
     def read_payloads(self, indices: list[int], key: bytes, stream: str = "default") -> list[bytes]:
         """Batched :meth:`read_payload` over many blocks in one device call."""
         if not indices:
             return []
-        read_blocks = getattr(self.device, "read_blocks", None)
-        if read_blocks is not None:
-            raws = read_blocks(indices, stream)
-        else:
-            raws = [self.device.read_block(index, stream) for index in indices]
-        blocks = [StoredBlock.from_raw(raw) for raw in raws]
+        blocks = [StoredBlock.from_raw(raw) for raw in self.device.read_blocks(indices, stream)]
         return self.cipher_for(key).decrypt_many(
             [block.iv for block in blocks], [block.ciphertext for block in blocks]
         )

@@ -581,7 +581,13 @@ class TestUpdateRangeEquivalence:
 
 
 class _SingleBlockDevice:
-    """A BlockDevice view hiding the batched methods (forces the loop paths)."""
+    """A BlockDevice whose batched calls are the documented per-block loops.
+
+    It is the reference order the batched device calls must reproduce:
+    ``read_blocks``/``write_blocks`` are one single-block call per entry,
+    and each ``read_write_blocks`` cycle is one ``read_block`` followed
+    by one ``write_block``, in entry order.
+    """
 
     def __init__(self, inner):
         self._inner = inner
@@ -601,8 +607,33 @@ class _SingleBlockDevice:
     def write_block(self, index, data, stream="default"):
         self._inner.write_block(index, data, stream)
 
+    def read_blocks(self, indices, stream="default"):
+        indices = list(indices)
+        labels = _streams(stream, len(indices))
+        return [self.read_block(index, label) for index, label in zip(indices, labels, strict=True)]
+
+    def write_blocks(self, indices, datas, stream="default"):
+        indices = list(indices)
+        labels = _streams(stream, len(indices))
+        for index, data, label in zip(indices, datas, labels, strict=True):
+            self.write_block(index, data, label)
+
+    def read_write_blocks(self, indices, datas=None, stream="default", write_indices=None):
+        indices = list(indices)
+        targets = indices if write_indices is None else list(write_indices)
+        datas = [None] * len(indices) if datas is None else datas
+        labels = _streams(stream, len(indices))
+        for index, target, data, label in zip(indices, targets, datas, labels, strict=True):
+            raw = self.read_block(index, label)
+            self.write_block(target, raw if data is None else data, label)
+
     def peek_block(self, index):
         return self._inner.peek_block(index)
+
+
+def _streams(stream, count):
+    """One stream label per entry, as the batched device calls accept them."""
+    return [stream] * count if isinstance(stream, str) else list(stream)
 
 
 class TestObliviousShuffleEquivalence:

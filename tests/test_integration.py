@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import HiddenVolumeService, build_nonvolatile_system, build_steghide_system
+from repro import HiddenVolumeService
 from repro.attacks.observer import SnapshotObserver, TraceObserver
 from repro.attacks.traffic_analysis import TrafficAnalysisAttacker
 from repro.attacks.update_analysis import UpdateAnalysisAttacker
@@ -201,22 +201,3 @@ class TestPlausibleDeniability:
         stranger_key = FileAccessKey.generate(service.prng.spawn("stranger"))
         with pytest.raises(HiddenFileNotFoundError):
             service.volume.open_file(stranger_key, "/alice/secret")
-
-
-class TestDeprecatedBuilderShims:
-    """The pre-2.0 builders still work, but warn and route through the facade."""
-
-    def test_build_steghide_system_flow(self):
-        with pytest.deprecated_call():
-            system = build_steghide_system(volume_mib=4, seed=7)
-        fak = system.new_fak()
-        handle = system.agent.create_file(fak, "/secret/report.txt", b"top secret")
-        assert system.agent.read_file(handle) == b"top secret"
-
-    def test_build_nonvolatile_system_flow(self):
-        with pytest.deprecated_call():
-            system = build_nonvolatile_system(volume_mib=4, seed=8)
-        fak = system.new_fak()
-        handle = system.agent.create_file(fak, "/secret/report.txt", b"top secret")
-        system.agent.update_block(handle, 0, b"revised secret")
-        assert system.agent.read_block(handle, 0).startswith(b"revised secret")

@@ -135,16 +135,12 @@ class TestLevel:
         assert not level.has_room_for(3)
 
 
-def _make_store(num_blocks=1024, buffer_blocks=4, last_level_blocks=64, charge_sort_io=True):
+def _make_store(num_blocks=1024, buffer_blocks=4, last_level_blocks=64):
     storage = make_storage(num_blocks=num_blocks)
     steg_part, obli_part = split_volume(storage, num_blocks // 2)
     prng = Sha256Prng("oblivious-test")
     volume = StegFsVolume(steg_part, prng.spawn("volume"))
-    config = ObliviousStoreConfig(
-        buffer_blocks=buffer_blocks,
-        last_level_blocks=last_level_blocks,
-        charge_sort_io=charge_sort_io,
-    )
+    config = ObliviousStoreConfig(buffer_blocks=buffer_blocks, last_level_blocks=last_level_blocks)
     store = ObliviousStore(obli_part, config, prng.spawn("store"))
     return storage, volume, store, prng
 
@@ -231,18 +227,11 @@ class TestObliviousStore:
         assert probes_dummy == probes_real
 
     def test_sort_io_is_charged(self):
-        _, _, store, _ = _make_store(buffer_blocks=4, charge_sort_io=True)
+        _, _, store, _ = _make_store(buffer_blocks=4)
         for logical in range(4):
             store.insert(logical, b"\x01" * store.payload_bytes)
         assert store.stats.sort_reads > 0
         assert store.stats.sort_writes > 0
-
-    def test_sort_io_can_be_disabled(self):
-        _, _, store, _ = _make_store(buffer_blocks=4, charge_sort_io=False)
-        for logical in range(4):
-            store.insert(logical, b"\x01" * store.payload_bytes)
-        assert store.stats.sort_reads == 0
-        assert store.stats.sort_writes > 0  # placement writes still happen
 
     def test_oversized_payload_rejected(self):
         _, _, store, _ = _make_store()

@@ -240,7 +240,7 @@ class TestObliviousStoreProperties:
         prng = Sha256Prng(seed)
         store = ObliviousStore(
             obli_part,
-            ObliviousStoreConfig(buffer_blocks=4, last_level_blocks=64, charge_sort_io=False),
+            ObliviousStoreConfig(buffer_blocks=4, last_level_blocks=64),
             prng.spawn("store"),
         )
         expected = {}
@@ -254,3 +254,35 @@ class TestObliviousStoreProperties:
         # Nothing should have been evicted below the last level's capacity.
         if count <= 64:
             assert all(store.contains(logical) for logical in expected)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @_SLOW
+    def test_reads_survive_eviction_past_the_last_level(self, seed):
+        """More ids than the last level holds: evictions must drop only the dropped copy.
+
+        Each operation inserts an uncached id (as the oblivious reader
+        does after a StegFS read) or reads a cached one.  A read leaves a
+        fresh copy in the buffer while a stale one sits deeper, so the
+        last level soon evicts ids that are still cached higher up.
+        """
+        from repro.core.oblivious.store import ObliviousStore, ObliviousStoreConfig
+        from repro.storage.device import split_volume
+        from conftest import make_storage
+
+        storage = make_storage(num_blocks=512)
+        _, obli_part = split_volume(storage, 128)
+        prng = Sha256Prng(seed)
+        store = ObliviousStore(
+            obli_part,
+            ObliviousStoreConfig(buffer_blocks=4, last_level_blocks=64),
+            prng.spawn("store"),
+        )
+        ops = prng.spawn("ops")
+        expected = {}
+        for step in range(300):
+            logical = ops.randrange(120)
+            if store.contains(logical):
+                assert store.read(logical) == expected[logical]
+            else:
+                expected[logical] = f"{logical}@{step}".encode().ljust(store.payload_bytes, b".")
+                store.insert(logical, expected[logical])

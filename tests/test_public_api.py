@@ -63,7 +63,6 @@ EXPECTED_TOP_LEVEL = [
     "Sha256Prng",
     "StegAgent",
     "StegFsVolume",
-    "SteghideSystem",
     "StorageGeometry",
     "TableUpdates",
     "TornWrite",
@@ -74,8 +73,6 @@ EXPECTED_TOP_LEVEL = [
     "VolatileAgent",
     "VolumeConfig",
     "ZeroLatencyModel",
-    "build_nonvolatile_system",
-    "build_steghide_system",
     "create_dummy_file",
     "diff_snapshots",
     "oblivious_height",
@@ -123,45 +120,8 @@ class TestExportSnapshot:
         assert len(repro.__all__) == len(set(repro.__all__))
 
 
-class TestDeprecatedShims:
-    def test_legacy_builders_warn_but_work(self):
-        with pytest.deprecated_call():
-            system = repro.build_steghide_system(volume_mib=1, seed=3, block_size=512)
-        fak = system.new_fak()
-        handle = system.agent.create_file(fak, "/f", b"still works")
-        assert system.agent.read_file(handle) == b"still works"
-
-    def test_legacy_builder_matches_service_wiring(self):
-        """The shim and the facade produce bit-identical volumes."""
-        with pytest.deprecated_call():
-            legacy = repro.build_nonvolatile_system(volume_mib=1, seed=5, block_size=512)
-        service = repro.HiddenVolumeService.create(
-            "nonvolatile", volume_mib=1, seed=5, block_size=512
-        )
-        assert legacy.storage.geometry == service.storage.geometry
-        indices = [0, 1, legacy.storage.geometry.num_blocks - 1]
-        for index in indices:
-            assert legacy.storage.read_block(index) == service.storage.read_block(index)
-
-
 class TestDeprecatedErrorAliases:
-    def test_old_names_warn_and_resolve_to_new_classes(self):
-        import repro.errors
-
-        with pytest.deprecated_call():
-            alias = repro.errors.FileNotFoundError_
-        assert alias is repro.errors.HiddenFileNotFoundError
-        with pytest.deprecated_call():
-            alias = repro.errors.FileExistsError_
-        assert alias is repro.errors.HiddenFileExistsError
-
-    def test_old_names_still_catch_new_raises(self):
-        import repro.errors
-
-        with pytest.deprecated_call():
-            legacy = repro.errors.FileNotFoundError_
-        with pytest.raises(legacy):
-            raise repro.errors.HiddenFileNotFoundError("same class, old name")
+    """The pre-2.0 alias names are gone; unknown names raise as usual."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.errors
@@ -183,7 +143,6 @@ CLEAN_FILES = [
     "examples/crash_recovery.py",
     "benchmarks/test_concurrent_throughput.py",
     "benchmarks/test_crash_recovery_bench.py",
-    "benchmarks/test_plan_fusion_throughput.py",
     "benchmarks/test_fig10a_retrieval_filesize.py",
     "benchmarks/test_fig10b_retrieval_concurrency.py",
     "benchmarks/test_fig11a_update_utilisation.py",
