@@ -63,6 +63,7 @@ from repro.core.plan import (
     PlanJournal,
     ReadStep,
     ResealStep,
+    Step,
     WriteStep,
     execute_plan,
 )
@@ -337,7 +338,9 @@ class StegAgent(ABC):
             self._execute(plan)
             return index
 
-    def plan_dummy_update_batch(self, count: int, stream: str = "dummy") -> tuple[IoPlan, list[int]]:
+    def plan_dummy_update_batch(
+        self, count: int, stream: str = "dummy"
+    ) -> tuple[IoPlan, list[int]]:
         """Plan ``count`` coalesced dummy updates (batched reseal schedule)."""
         indices = [self.select_random_block() for _ in range(count)]
         keys = [self.key_for_block(index) for index in indices]
@@ -448,6 +451,26 @@ class StegAgent(ABC):
             self._execute(plan)
             return result
 
+    def _plan_updates(
+        self,
+        handle: HiddenFile,
+        start_logical: int,
+        payloads: list[bytes],
+        stream: str,
+        steps: list[Step],
+    ) -> list[UpdateResult]:
+        """Plan consecutive Figure-6 updates in order, appending their steps to ``steps``.
+
+        When planning update *k* raises, ``steps`` still holds every step
+        of updates 0..k-1, whose bookkeeping has already moved.
+        """
+        results: list[UpdateResult] = []
+        for offset, payload in enumerate(payloads):
+            plan, result = self._plan_one_update(handle, start_logical + offset, payload, stream)
+            steps.extend(plan.steps)
+            results.append(result)
+        return results
+
     def update_range(
         self,
         handle: HiddenFile,
@@ -459,25 +482,27 @@ class StegAgent(ABC):
 
         Observationally this is exactly a loop of :meth:`update_block`:
         the Figure-6 draws, the IV draws and every device request happen
-        in the same order with the same bytes.  Each update is first
-        *planned* and then *executed*; planning stays per-update (not
-        whole-range) so that an error while planning a later update
-        leaves every earlier update fully committed to the device, just
-        as the plain loop would.  The read/write interleaving of the
-        loop is preserved deliberately: re-ordering it would change the
-        trace and the simulated head movement that the update-analysis
-        experiments observe.  :meth:`plan_update_range` is the engine's
-        whole-range variant with different error semantics.
+        in the same order with the same bytes.  The updates are planned
+        in order and executed as *one* plan: adjacent cycles share one
+        batched device call, and a durable journal records one entry
+        and one commit for the whole call (cut into slices only where
+        its ring cannot hold the call's before-images, see
+        :func:`~repro.core.plan.execute_plan`).  If planning update *k*
+        raises, the updates planned before it are executed first and
+        the error propagates after them, so they are committed to the
+        device just as the plain loop would leave them.
+        :meth:`plan_update_range` is the engine's plan-only variant,
+        which commits nothing on a planning error.
         """
         with self._exclusive("update_range"):
-            results: list[UpdateResult] = []
-            for offset, payload in enumerate(payloads):
-                plan, result = self._plan_one_update(
-                    handle, start_logical + offset, payload, stream
-                )
-                self._execute(plan)
-                results.append(result)
-            return results
+            steps: list[Step] = []
+            try:
+                return self._plan_updates(handle, start_logical, payloads, stream, steps)
+            finally:
+                # Also runs when planning raised: updates 0..k-1 land
+                # before the error propagates.
+                if steps:
+                    self._execute(IoPlan(steps, label="update_range"))
 
     def plan_update_range(
         self,
@@ -488,10 +513,9 @@ class StegAgent(ABC):
     ) -> tuple[IoPlan, list[UpdateResult]]:
         """Plan a whole range update as one fused plan (the engine's path).
 
-        Unlike :meth:`update_range`, *all* updates are planned before
-        any device I/O happens, so a planning error commits nothing.
-        The device sees the same requests in the same order as the
-        per-update path; only the failure atomicity differs.
+        Every update is checked for ownership before any is planned, and
+        nothing is executed, so a planning error commits nothing.  The
+        returned plan holds the same steps :meth:`update_range` executes.
         """
         with self._exclusive("plan_update_range"):
             for offset in range(len(payloads)):
@@ -499,14 +523,8 @@ class StegAgent(ABC):
                     raise UnknownFileError(
                         "the agent does not hold keys for the file being updated"
                     )
-            steps: list[ReadStep | WriteStep | CycleStep | ResealStep] = []
-            results: list[UpdateResult] = []
-            for offset, payload in enumerate(payloads):
-                plan, result = self._plan_one_update(
-                    handle, start_logical + offset, payload, stream
-                )
-                steps.extend(plan.steps)
-                results.append(result)
+            steps: list[Step] = []
+            results = self._plan_updates(handle, start_logical, payloads, stream, steps)
             return IoPlan(steps, label="update_range"), results
 
     def append_blocks(

@@ -25,7 +25,19 @@ Design constraints, in the paper's threat model:
   data is persisted, so no file key is ever sealed under the journal
   key.  What an adversary imaging the sidecar between flushes can
   still count is writing plans: each costs one record beyond its
-  before-images, plus a commit marker.
+  before-images, plus a commit marker.  A plan is one write *call* —
+  ``Session.write`` journals a multi-block range as one entry, as the
+  engine journals each request — so the sidecar counts write calls,
+  not the blocks they update.
+* **Bounded by the ring.**  One entry holds at most
+  :attr:`JournalBackend.entry_budget` before-images (123 for the
+  default 256 x 4 KiB ring over 4 KiB blocks): the most whose entry,
+  commit marker and one checkpoint fit in half the ring.  The
+  journalled executors cut a plan that writes more blocks into
+  consecutive slices, each recorded, executed and committed before the
+  next, so no write can fill the ring with uncommitted records.  A
+  write within the budget is atomic: a crash anywhere inside it rolls
+  every block it wrote back.  A larger write is atomic per slice.
 * **Old-or-new, not redo.**  Records carry *before-images* (undo), not
   replay instructions: replaying a reseal against a block the crash
   tore would reseal garbage, while writing back the captured pre-image
@@ -89,6 +101,7 @@ from repro.core.plan import (
     ResealStep,
     Step,
     WriteStep,
+    write_targets,
 )
 from repro.crypto import FastFieldCipher, Sha256Prng
 from repro.errors import JournalError
@@ -112,6 +125,10 @@ _STEP_RESEAL = 3
 #: Every label ``record`` persists is padded to this many UTF-8 bytes, so
 #: an entry's length never depends on which plan it journals.
 _LABEL_WIDTH = 64
+#: label_len(2) + label + step_count(4) + undo_count(4): an entry's fixed bytes.
+_ENTRY_FIXED_SIZE = 2 + _LABEL_WIDTH + 4 + 4
+#: index(8) + image_len(4): the bytes each before-image adds besides itself.
+_UNDO_FIXED_SIZE = 12
 
 DEFAULT_NUM_SLOTS = 256
 DEFAULT_RECORD_SIZE = 4096
@@ -222,16 +239,6 @@ def _decode_entry(payload: bytes) -> tuple[str, tuple[Step, ...], list[tuple[int
     return label, steps, undo
 
 
-def _write_targets(step: Step) -> tuple[int, ...]:
-    if isinstance(step, WriteStep):
-        return (step.index,)
-    if isinstance(step, CycleStep):
-        return (step.write_index,)
-    if isinstance(step, ResealStep):
-        return (step.index,)
-    return ()
-
-
 @dataclass(frozen=True)
 class _ParsedRecord:
     seq: int
@@ -296,6 +303,7 @@ class JournalBackend(PlanJournal):
         self._num_slots = num_slots
         self._record_size = record_size
         self._backend: BlockBackend | None = None
+        self._budget: int | None = None
         self._next_seq = 0
         self._kill_seq = -1
         self._pending: list[int] = []
@@ -462,9 +470,28 @@ class JournalBackend(PlanJournal):
         """Entries recorded but not yet marked committed."""
         return len(self._pending)
 
+    @property
+    def entry_budget(self) -> int:
+        """Most distinct blocks one entry may write; larger plans run as slices.
+
+        The largest before-image count whose entry, commit marker and
+        one checkpoint fit in half the ring (at least 1), derived from
+        the ring's geometry and the bound backend's block size: 123
+        blocks for the default 256 x 4 KiB ring over 4 KiB blocks.  So
+        a plan within the budget can never fill the ring, and the other
+        half absorbs the extra records of a group of entries that
+        commit together (see :func:`~repro.core.plan.execute_journalled`).
+        """
+        self._require_open()
+        if self._budget is None:
+            raise JournalError("bind() a block backend before recording plans")
+        return self._budget
+
     def bind(self, backend: BlockBackend) -> None:
         """Attach the volume backend whose before-images :meth:`record` captures."""
         self._backend = backend
+        room = (self._num_slots // 2 - 2) * self._payload_capacity - _ENTRY_FIXED_SIZE
+        self._budget = max(1, room // (_UNDO_FIXED_SIZE + backend.block_size))
 
     def _require_open(self) -> BinaryIO:
         if self._file is None:
@@ -543,7 +570,7 @@ class JournalBackend(PlanJournal):
         self._require_open()
         if self._backend is None:
             raise JournalError("bind() a block backend before recording plans")
-        targets = dict.fromkeys(index for step in plan.steps for index in _write_targets(step))
+        targets = dict.fromkeys(index for step in plan.steps for index in write_targets(step))
         if not targets:
             return
         undo = [(index, self._backend.read(index)) for index in targets]
@@ -554,8 +581,14 @@ class JournalBackend(PlanJournal):
         # Register before writing parts: an auto-checkpoint triggered by
         # a later part must not kill the earlier ones.
         self._pending.append(entry_id)
-        for part_index, fragment in enumerate(fragments):
-            self._write_record(_KIND_ENTRY, entry_id, 0, fragment, part_index, len(fragments))
+        try:
+            for part_index, fragment in enumerate(fragments):
+                self._write_record(_KIND_ENTRY, entry_id, 0, fragment, part_index, len(fragments))
+        except BaseException:
+            # The entry is torn: its plan never starts, so nothing may
+            # keep its parts alive or commit them later.
+            self._pending.remove(entry_id)
+            raise
         self._require_open().flush()
         super().record(plan)
 

@@ -59,7 +59,11 @@ plan's step sequence *before* any of its I/O executes and is told via
 landed.  :class:`repro.core.journal.JournalBackend` subclasses it to
 persist every entry (with before-images) to a cipher-sealed sidecar
 file, which is what lets ``HiddenVolumeService.open`` roll a torn plan
-back to its pre-plan bytes.
+back to its pre-plan bytes.  A durable journal's ring holds a bounded
+number of before-images, its :attr:`~PlanJournal.entry_budget`; the
+journalled executors cut a plan that writes more blocks than that into
+consecutive slices (:func:`split_plan`), each recorded, executed and
+committed in turn, so no plan can wedge the ring.
 """
 
 from __future__ import annotations
@@ -123,6 +127,15 @@ KIND_WRITE = "write"
 KIND_CYCLE = "cycle"
 KIND_RESEAL = "reseal"
 KIND_RESEAL_BATCH = "reseal-batch"
+
+
+def write_targets(step: Step) -> tuple[int, ...]:
+    """The block ``step`` writes, as a 0- or 1-tuple (a read writes none)."""
+    if isinstance(step, (WriteStep, ResealStep)):
+        return (step.index,)
+    if isinstance(step, CycleStep):
+        return (step.write_index,)
+    return ()
 
 
 def _kind_of(step: Step) -> str:
@@ -330,14 +343,94 @@ def execute_plan(
     The journal (when given) sees the plan strictly before its first
     device request and is marked committed only after every run landed;
     an entry left uncommitted therefore brackets exactly the window in
-    which a crash can leave the plan half-applied.
+    which a crash can leave the plan half-applied.  A plan with more
+    steps than the journal's :attr:`~PlanJournal.entry_budget` runs as
+    the slices of :func:`split_plan` instead, each bracketed the same
+    way, so a crash rolls back only the slice it interrupted.
     """
     if journal is not None:
+        budget = journal.entry_budget
+        if budget is not None and len(plan.steps) > budget:
+            return _execute_slices(plan, device, cipher_for, journal, budget)
         journal.record(plan)
     payloads = execute_runs(fuse([plan]), device, cipher_for)
     if journal is not None:
         journal.mark_committed()
     return payloads.get(0, [])
+
+
+def split_plan(plan: IoPlan, budget: int) -> list[IoPlan]:
+    """Cut ``plan`` into consecutive slices, each writing at most ``budget`` distinct blocks.
+
+    Slices keep the plan's label and step order, and together they are
+    the plan.  A slice ends just before the step that would write its
+    ``budget + 1``-th distinct block, so reads, and rewrites of blocks it
+    already writes, never start a new slice.
+    """
+    slices: list[IoPlan] = []
+    steps: list[Step] = []
+    written: set[int] = set()
+    for step in plan.steps:
+        for index in write_targets(step):
+            if index not in written:
+                if len(written) == budget:
+                    slices.append(IoPlan(steps, plan.label))
+                    steps, written = [], set()
+                written.add(index)
+        steps.append(step)
+    slices.append(IoPlan(steps, plan.label))
+    return slices
+
+
+def _execute_slices(
+    plan: IoPlan, device: BlockDevice, cipher_for: CipherFor, journal: "PlanJournal", budget: int
+) -> list[bytes]:
+    payloads: list[bytes] = []
+    for piece in split_plan(plan, budget):
+        journal.record(piece)
+        payloads += execute_runs(fuse([piece]), device, cipher_for).get(0, [])
+        journal.mark_committed()
+    return payloads
+
+
+def execute_journalled(
+    plans: Sequence[IoPlan], device: BlockDevice, cipher_for: CipherFor, journal: "PlanJournal"
+) -> dict[int, list[bytes]]:
+    """Execute ``plans`` in order under ``journal``; kept-read payloads per plan.
+
+    Consecutive plans form one group while their steps, summed, stay
+    within the journal's entry budget.  Each plan of a group is recorded
+    as its own entry, the group's fused runs execute, and one
+    :meth:`~PlanJournal.mark_committed` closes them all, before the next
+    group starts.  A plan over the budget on its own runs as the slices
+    of :func:`execute_plan`.  Each further entry of a group costs the
+    ring about two records more than one entry of the same before-images
+    would (its part-filled last record and its commit marker); the half
+    of a durable ring the budget leaves free absorbs that for a few
+    dozen plans, more than the engine buffers at its default quantum.
+    Payloads are keyed by position in ``plans``, as :func:`execute_runs`
+    keys them.
+    """
+    budget = journal.entry_budget
+    payloads: dict[int, list[bytes]] = {}
+    start = 0
+    while start < len(plans):
+        end, length = start, 0
+        while end < len(plans) and (budget is None or length + len(plans[end].steps) <= budget):
+            length += len(plans[end].steps)
+            end += 1
+        if end == start:
+            payloads[start] = execute_plan(plans[start], device, cipher_for, journal)
+            start += 1
+            continue
+        group = plans[start:end]
+        for plan in group:
+            journal.record(plan)
+        for position, kept in execute_runs(fuse(group), device, cipher_for).items():
+            payloads[start + position] = kept
+        journal.mark_committed()
+        start = end
+    return payloads
 
 
 @dataclass(frozen=True)
@@ -387,6 +480,16 @@ class PlanJournal:
         A no-op for the in-memory journal; the durable journal writes a
         commit marker so recovery knows the entry needs no rollback.
         """
+
+    @property
+    def entry_budget(self) -> int | None:
+        """Most distinct blocks one entry may write, or ``None`` for no bound.
+
+        The in-memory journal has no ring to fill, so it has no budget;
+        :class:`repro.core.journal.JournalBackend` derives one from its
+        ring's geometry.
+        """
+        return None
 
     @property
     def entries(self) -> list[JournalEntry]:

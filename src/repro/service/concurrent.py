@@ -82,6 +82,7 @@ from repro.core.plan import (
     KIND_WRITE,
     PlanJournal,
     PlannedOp,
+    execute_journalled,
     execute_runs,
     fuse,
 )
@@ -693,9 +694,6 @@ class ConcurrentVolumeService:
             return 0
         flushed = len(pending)
         plans = [planned.op.plan for planned in pending]
-        if self.journal is not None:
-            for plan in plans:
-                self.journal.record(plan)
         runs = fuse(plans)
         read_requests = sum(1 for planned in pending if planned.request.kind == "read")
         if read_requests:
@@ -711,8 +709,15 @@ class ConcurrentVolumeService:
                 )
         count = sum(1 for planned in pending if planned.request.kind in _REAL_OPS)
         self.stats.real_ops += count
+        device, cipher_for = self.service.volume.device, self.service.volume.cipher_for
         try:
-            payloads = execute_runs(runs, self.service.volume.device, self.service.volume.cipher_for)
+            if self.journal is None:
+                payloads = execute_runs(runs, device, cipher_for)
+            else:
+                # Records each plan before its first device request and
+                # commits it after its last, in groups the journal's
+                # ring can hold; an error leaves its group uncommitted.
+                payloads = execute_journalled(plans, device, cipher_for, self.journal)
         except BaseException as error:
             for planned in pending:
                 if not planned.request.done.is_set():
@@ -720,12 +725,6 @@ class ConcurrentVolumeService:
             pending.clear()
             self._accrue_dummies(count)
             return flushed
-        if self.journal is not None:
-            # Every plan of the batch has fully landed; a surfaced error
-            # above deliberately leaves the entries uncommitted so a
-            # durable journal rolls the partial progress back on the
-            # next open.
-            self.journal.mark_committed()
         for position, planned in enumerate(pending):
             try:
                 result = planned.op.finish(payloads.get(position, []))

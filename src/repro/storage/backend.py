@@ -37,6 +37,9 @@ from repro.errors import BackendClosedError, InjectedCrashError, VolumeFileError
 if TYPE_CHECKING:
     from repro.storage.disk import StorageGeometry
 
+#: Bytes ``fill_random`` formats per raw-stream draw (a multiple of 8).
+_FILL_CHUNK = 64 * 1024
+
 
 @runtime_checkable
 class BlockBackend(Protocol):
@@ -90,9 +93,9 @@ class _ArrayBackend:
     """Shared numpy data movement for backends exposing a (blocks, bytes) view.
 
     Subclasses set ``self._view`` to a writable ``(num_blocks,
-    block_size)`` uint8 array; the movement code here is lifted verbatim
-    from the pre-split ``RawStorage`` so the bytes produced (including
-    the ``fill_random`` stream) are bit-identical.
+    block_size)`` uint8 array; the bytes the movement code here produces
+    (including the ``fill_random`` stream) are bit-identical to the
+    pre-split ``RawStorage``'s.
     """
 
     _view: np.ndarray | None
@@ -146,10 +149,18 @@ class _ArrayBackend:
                 view[index] = rows[row]
 
     def fill_random(self, seed: int = 0) -> None:
+        # The bytes of ``rng.integers(0, 256, size, dtype=np.uint8)``: a
+        # full-range uint8 draw consumes the PCG64 raw stream 8 bytes per
+        # word, low byte first, so copying whole words is byte-identical
+        # and ~3x faster.  Chunks stay below glibc's 128 KiB mmap
+        # threshold, so each temporary is a reused heap block.
         # repro-lint: ignore[ENT001] -- seeded, deterministic volume formatting; not a crypto path
-        rng = np.random.default_rng(seed)
+        bit_generator = np.random.default_rng(seed).bit_generator
         flat = self._blocks().reshape(-1)
-        flat[:] = rng.integers(0, 256, size=flat.size, dtype=np.uint8)
+        for start in range(0, flat.size, _FILL_CHUNK):
+            end = min(start + _FILL_CHUNK, flat.size)
+            words = bit_generator.random_raw(-(-(end - start) // 8))
+            flat[start:end] = words.astype("<u8", copy=False).view(np.uint8)[: end - start]
 
     def raw_bytes(self) -> bytes:
         return self._blocks().tobytes()

@@ -78,6 +78,7 @@ BACKEND_CALLS = {
 }
 
 JOURNAL_CALLS = {
+    "entry_budget": lambda journal: journal.entry_budget,
     "record": lambda journal: journal.record(IoPlan([], label="x")),
     "mark_committed": lambda journal: journal.mark_committed(),
     "checkpoint": lambda journal: journal.checkpoint(),

@@ -15,6 +15,10 @@ The contract under test (PR 7):
   old or its new bytes — never a torn mixture — and where the reopened
   service's PRNG streams match a twin that never crashed (recovery
   consumes no stream);
+* a multi-block ``Session.write`` within the journal's entry budget is
+  one journal entry, so a crash at any of its device calls reopens to
+  the exact pre-write volume image, and an entry that could not be
+  written whole leaves nothing pending;
 * ``CrashScenario`` / ``run_experiment`` drive the same story under the
   snapshot-diff adversary, whose advantage against a torn crash is no
   better than against a clean process death at the same positions.
@@ -23,6 +27,7 @@ The contract under test (PR 7):
 from __future__ import annotations
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +190,27 @@ class TestJournalBackend:
             for round_number in range(8):
                 journal.record(write_plan(backend, [round_number], label=f"op{round_number}"))
         journal.close()
+
+    def test_failed_record_leaves_no_pending_entry(self, tmp_path):
+        # An entry whose parts could not all be written is torn: its plan
+        # never starts, so it must neither pin the ring nor be committed.
+        backend = make_backend(num_blocks=32, block_size=96)
+        pristine = backend.raw_bytes()
+        journal = JournalBackend.create(tmp_path / "j", KEY, num_slots=4, record_size=256)
+        journal.bind(backend)
+        with pytest.raises(JournalError, match="full"):
+            journal.record(write_plan(backend, range(12), label="too-big"))
+        assert journal.pending_count == 0
+        plan = write_plan(backend, [1], label="after")
+        journal.record(plan)
+        apply_plan(backend, plan)
+        journal.mark_committed()
+        committed = backend.raw_bytes()
+        journal.close()
+        reopened = JournalBackend.open(tmp_path / "j", KEY, record_size=256)
+        assert reopened.recover(backend).rolled_back == ()
+        assert backend.raw_bytes() == committed != pristine
+        reopened.close()
 
     def test_multi_record_entry_round_trips(self, tmp_path):
         # A plan whose payload spans several ring records still rolls back.
@@ -566,6 +592,43 @@ def test_every_crash_point_of_a_write_recovers_old_or_new(tmp_path, construction
         service, session = reopen(clone, construction, ring, nonce=f"verify:{crash_at}")
         recovered = session.read("/crash/f")
         assert_old_or_new_per_block(recovered, old, new, payload)
+        service.close()
+
+
+@pytest.mark.parametrize("construction", ["nonvolatile", "volatile"])
+@pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+def test_every_crash_point_of_a_write_recovers_the_pre_write_image(tmp_path, construction, torn):
+    """A multi-block write within the journal's budget is atomic on the device.
+
+    Its updates run as one journal entry, so a crash anywhere inside it
+    rolls every block back: the recovered volume image is byte-for-byte
+    the image before the write, not a mix of landed and undone updates.
+    """
+    base, ring, old, payload = build_volume(tmp_path, construction)
+    before = Path(base).read_bytes()
+    data = Sha256Prng("atomic").random_bytes(2 * payload)
+
+    def op(service, session):
+        session.write("/crash/f", data, at=payload // 2)  # spans blocks 0..2
+
+    probe = clone_volume(base, tmp_path, "probe.img")
+    crashed, op_calls = run_op(probe, construction, ring, op, nonce="op")
+    assert not crashed and op_calls > 2
+
+    for crash_at in range(op_calls):
+        clone = clone_volume(base, tmp_path, f"crash{crash_at}.img")
+        crashed, _ = run_op(
+            clone,
+            construction,
+            ring,
+            op,
+            nonce="op",
+            crash_at=crash_at,
+            torn=TornWrite() if torn else None,
+        )
+        assert crashed
+        service, _ = reopen(clone, construction, ring, nonce=f"verify:{crash_at}")
+        assert service.storage.raw_bytes() == before, f"crash at {crash_at} kept a partial write"
         service.close()
 
 

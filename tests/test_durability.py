@@ -59,6 +59,21 @@ class TestBackendEquivalence:
         mapped.fill_random(42)
         assert memory.raw_bytes() == mapped.raw_bytes()
 
+    @pytest.mark.parametrize(
+        "block_size, num_blocks",
+        [(1, 1), (7, 1), (9, 1), (300, 1), (4097, 1), (12345, 1), (65537, 1), (4097, 33)],
+    )
+    def test_fill_random_matches_the_uint8_draw(self, tmp_path, block_size, num_blocks):
+        # Sizes off multiples of 8 and of the 64 KiB fill chunk.
+        rng = np.random.default_rng(5)
+        expected = rng.integers(0, 256, size=block_size * num_blocks, dtype=np.uint8).tobytes()
+        memory = MemoryBackend(block_size, num_blocks)
+        mapped = MmapFileBackend.create(tmp_path / "vol.img", block_size, num_blocks)
+        for backend in (memory, mapped):
+            backend.fill_random(5)
+            assert backend.raw_bytes() == expected
+        mapped.close()
+
     def test_single_and_batched_ops_identical(self, tmp_path):
         memory, mapped = self._pair(tmp_path)
         prng = Sha256Prng("backend-equivalence")

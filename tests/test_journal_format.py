@@ -16,10 +16,19 @@
   field is refused before any record is written.
 * A sidecar written in the older format, whose entries also carried
   every step of the plan, still opens and rolls back byte-exactly.
+* A multi-block write is one entry and one commit, and a crash inside
+  it rolls that one entry back.  A plan that writes more blocks than
+  the ring's entry budget runs as slices, each recorded before its own
+  first device request; a crash in one slice undoes that slice alone.
+  A journalled flush of several plans commits them in groups that fit
+  the budget.  Writes and appends larger than the whole ring succeed
+  through both the session facade and the concurrent engine, which
+  keep serving.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from pathlib import Path
@@ -28,11 +37,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import FastFieldCipher, HiddenVolumeService, JournalBackend, MemoryBackend, Sha256Prng
+from repro import (
+    FastFieldCipher,
+    FaultInjectingBackend,
+    HiddenVolumeService,
+    JournalBackend,
+    KeyRing,
+    MemoryBackend,
+    MmapFileBackend,
+    Sha256Prng,
+    TornWrite,
+)
 from repro.core import journal as journal_module
-from repro.core.journal import DEFAULT_NUM_SLOTS, DEFAULT_RECORD_SIZE, journal_sidecar_path
-from repro.core.plan import CycleStep, IoPlan, JournalEntry, ReadStep, ResealStep, Step, WriteStep
-from repro.errors import JournalError
+from repro.core.journal import (
+    DEFAULT_NUM_SLOTS,
+    DEFAULT_RECORD_SIZE,
+    RecoveryReport,
+    journal_sidecar_path,
+)
+from repro.core.plan import (
+    CycleStep,
+    IoPlan,
+    JournalEntry,
+    ReadStep,
+    ResealStep,
+    Step,
+    WriteStep,
+    execute_journalled,
+)
+from repro.errors import InjectedCrashError, JournalError
+from repro.storage.block import BLOCK_IV_SIZE
 
 from conftest import ReferenceFieldCipher
 
@@ -431,3 +465,214 @@ def test_a_sidecar_in_the_older_format_still_recovers(tmp_path, monkeypatch):
         results[old_format] = (labels, pending, report.rolled_back, report.restored_blocks)
     assert results[True] == results[False]
     assert results[True] == ([f"op{n}" for n in range(6)], 3, ("op5", "op4", "op3"), 9)
+
+
+# -- one entry per write call, cut where the ring cannot hold it ---------------------
+
+#: Data bytes of one 4 KiB block (the rest is its IV).
+FULL_PAYLOAD = FULL_BLOCK - BLOCK_IV_SIZE
+
+def _volume_with_file(path, construction, blocks, *, volume_mib=1, decoy_blocks=0) -> str:
+    """Create a durable volume holding one flushed ``blocks``-block file; return its key ring."""
+    service = HiddenVolumeService.create(construction, volume_mib=volume_mib, seed=11, path=path)
+    session = service.login(service.new_keyring("alice"))
+    session.create("/alice/f", b"f" * blocks * service.volume.data_field_bytes)
+    if decoy_blocks:
+        session.create_decoy("/alice/decoy", size_bytes=decoy_blocks * FULL_BLOCK)
+    ring = session.keyring.to_json()
+    service.close()
+    return ring
+
+
+def _copy_volume(path: Path, name: str) -> Path:
+    copy = path.with_name(name)
+    copy.write_bytes(path.read_bytes())
+    Path(journal_sidecar_path(copy)).write_bytes(Path(journal_sidecar_path(path)).read_bytes())
+    return copy
+
+
+def _run_write(path, construction, ring, data, *, crash_at=None, spy=None) -> int:
+    """Reopen ``path``, write ``data`` at offset 0, then let the process die.
+
+    The write itself dies at device call ``crash_at`` (torn) when given.
+    ``spy(service, injector)``, when given, runs right before the write.
+    Returns the number of device calls the write made, the doomed one included.
+    """
+    injector = None
+
+    def wrap(backend):
+        nonlocal injector
+        injector = FaultInjectingBackend(backend)
+        return injector
+
+    service = HiddenVolumeService.open(
+        path, construction, seed=11, session_nonce="w", wrap_backend=wrap
+    )
+    session = service.login(KeyRing.from_json(ring))
+    if spy is not None:
+        spy(service, injector)
+    injector.arm(10**9 if crash_at is None else crash_at, TornWrite())
+    with contextlib.suppress(InjectedCrashError):
+        session.write("/alice/f", data)
+    # A killed process flushes, saves and checkpoints nothing.
+    service.storage.close()
+    service.journal.close()
+    return injector.calls
+
+
+def _recover(path) -> RecoveryReport:
+    journal = JournalBackend.open(
+        journal_sidecar_path(path), HiddenVolumeService._journal_key(Sha256Prng(11))
+    )
+    backend = MmapFileBackend.open(path, FULL_BLOCK)
+    report = journal.recover(backend)
+    backend.close()
+    journal.close()
+    return report
+
+
+def test_a_multi_block_write_rewrites_one_entry_and_one_commit(tmp_path):
+    service = _durable_service(tmp_path)
+    session = service.login(service.new_keyring("alice"))
+    payload = service.volume.data_field_bytes
+    session.create("/alice/f", b"f" * 8 * payload)
+    session.create_decoy("/alice/decoy", size_bytes=48 * FULL_BLOCK)
+    journal, sidecar = service.journal, _sidecar(service)
+    for blocks in (2, 3, 5):
+        service.flush()  # checkpoint first, so the ring cannot fill mid-write
+        before, first_seq = sidecar.read_bytes(), journal._next_seq
+        session.write("/alice/f", bytes([blocks]) * blocks * payload, at=payload)
+        [entry] = journal.entries
+        assert entry.label == "update_range"
+        assert sum(isinstance(step, CycleStep) for step in entry.steps) == blocks
+        written = len(_write_targets(IoPlan(list(entry.steps))))
+        slots = _rewritten_slots(before, sidecar.read_bytes(), journal.record_size)
+        # One entry of k before-images (k + 1 records) and one commit.
+        assert slots == journal._next_seq - first_seq == written + 2
+    service.close()
+
+
+def test_a_crash_mid_write_rolls_back_exactly_one_entry(tmp_path):
+    path = tmp_path / "vol.img"
+    ring = _volume_with_file(path, "volatile", 8, decoy_blocks=48)
+    before = path.read_bytes()
+    data = b"n" * 4 * FULL_PAYLOAD
+    calls = _run_write(_copy_volume(path, "probe.img"), "volatile", ring, data)
+    # Die at the write's last device call: every earlier update has landed.
+    assert _run_write(path, "volatile", ring, data, crash_at=calls - 1) == calls
+    assert path.read_bytes() != before
+    report = _recover(path)
+    assert report.rolled_back == ("update_range",)
+    assert report.restored_blocks >= 4
+    assert path.read_bytes() == before
+
+
+def test_a_write_over_the_budget_runs_as_slices_each_recorded_before_its_io(tmp_path):
+    path = tmp_path / "vol.img"
+    ring = _volume_with_file(path, "nonvolatile", 200, volume_mib=8)
+    data = b"s" * 180 * FULL_PAYLOAD
+    budget = 123  # the default 256 x 4 KiB ring over 4 KiB blocks
+    events: list[tuple[str, int]] = []
+    slices: list[IoPlan] = []
+    images: list[bytes] = []
+
+    def spy(service, injector):
+        journal = service.journal
+        record, commit = journal.record, journal.mark_committed
+
+        def spy_record(plan):
+            events.append(("record", injector.calls))
+            slices.append(plan)
+            images.append(injector.inner.raw_bytes())
+            record(plan)
+
+        def spy_commit():
+            events.append(("commit", injector.calls))
+            commit()
+
+        journal.record, journal.mark_committed = spy_record, spy_commit
+        assert journal.entry_budget == budget
+
+    calls = _run_write(_copy_volume(path, "probe.img"), "nonvolatile", ring, data, spy=spy)
+    assert len(slices) >= 2
+    assert {plan.label for plan in slices} == {"update_range"}
+    sizes = [len(_write_targets(plan)) for plan in slices]
+    assert all(size == budget for size in sizes[:-1]) and 0 < sizes[-1] <= budget
+    # record, its slice's device calls, commit; then the next slice.
+    assert [kind for kind, _ in events] == ["record", "commit"] * len(slices)
+    marks = [mark for _, mark in events]
+    assert marks[0] == 0 and marks[-1] == calls
+    assert all(marks[i] < marks[i + 1] for i in range(0, len(marks), 2))  # I/O inside
+    assert all(marks[i] == marks[i + 1] for i in range(1, len(marks) - 1, 2))  # none between
+
+    # A crash at the last device call of slice 1 rolls back slice 1 only.
+    crash_at = marks[3] - 1
+    assert _run_write(path, "nonvolatile", ring, data, crash_at=crash_at) == crash_at + 1
+    assert _recover(path).rolled_back == ("update_range",)
+    assert path.read_bytes() == images[1]
+
+
+def test_a_journalled_flush_commits_groups_that_fit_the_budget(tmp_path):
+    service = HiddenVolumeService.create("nonvolatile", volume_mib=8, seed=5, path=tmp_path / "v")
+    session = service.login(service.new_keyring("u"))
+    content = bytearray(Sha256Prng("content").random_bytes(200 * FULL_PAYLOAD))
+    session.create("/u/f", bytes(content))
+    journal = service.journal
+    ops = []
+    for n in range(4):  # block-aligned, so planning reads nothing back
+        data = bytes([n]) * 40 * FULL_PAYLOAD
+        ops.append(session.plan_write("/u/f", data, at=n * len(data)))
+        content[n * len(data) : (n + 1) * len(data)] = data
+    ops.append(session.plan_read("/u/f", at=FULL_PAYLOAD // 2, size=100 * FULL_PAYLOAD))
+    events: list[IoPlan | None] = []  # a recorded plan, or None for a commit
+    record, commit = journal.record, journal.mark_committed
+    journal.record = lambda plan: (events.append(plan), record(plan))
+    journal.mark_committed = lambda: (events.append(None), commit())
+
+    plans = [op.plan for op in ops]
+    payloads = execute_journalled(plans, service.volume.device, service.volume.cipher_for, journal)
+    assert [event for event in events if event is not None] == plans  # whole, in order
+    groups: list[list[IoPlan]] = [[]]
+    for event in events:
+        if event is None:
+            groups.append([])
+        else:
+            groups[-1].append(event)
+    assert groups.pop() == [] and len(groups) >= 2
+    assert all(sum(len(plan.steps) for plan in group) <= journal.entry_budget for group in groups)
+    expected = bytes(content[FULL_PAYLOAD // 2 : FULL_PAYLOAD // 2 + 100 * FULL_PAYLOAD])
+    assert ops[-1].finish(payloads[4]) == expected
+    assert session.read("/u/f") == bytes(content)
+    service.close()
+
+
+def test_an_engine_write_over_the_ring_keeps_the_engine_serving(tmp_path):
+    service = HiddenVolumeService.create("nonvolatile", volume_mib=8, seed=3, path=tmp_path / "v")
+    engine = service.concurrent()
+    session = engine.login(service.new_keyring("u"))
+    content = Sha256Prng("content").random_bytes(3 * 1024 * 1024)
+    session.create("/u/f", content)
+    session.create_decoy("/u/decoy", 1024 * 1024)
+    update = Sha256Prng("update").random_bytes(1024 * 1024)
+    session.write("/u/f", update, at=FULL_BLOCK)
+    expected = content[:FULL_BLOCK] + update + content[FULL_BLOCK + len(update) :]
+    assert session.read("/u/f") == expected
+    session.write("/u/f", b"later", at=0)
+    assert session.read("/u/f", at=0, size=5) == b"later"
+    engine.close()
+
+
+def test_a_facade_append_over_the_ring_keeps_the_service_serving(tmp_path):
+    path = tmp_path / "v"
+    service = HiddenVolumeService.create("nonvolatile", volume_mib=8, seed=3, path=path)
+    session = service.login(service.new_keyring("u"))
+    session.create("/u/f", b"x" * 5000)
+    tail = Sha256Prng("tail").random_bytes(2_000_000)
+    session.append("/u/f", tail)
+    assert session.read("/u/f") == b"x" * 5000 + tail
+    session.write("/u/f", b"later", at=0)
+    ring = session.keyring.to_json()
+    service.close()
+    reopened = HiddenVolumeService.open(path, "nonvolatile", seed=3, session_nonce="again")
+    assert reopened.login(KeyRing.from_json(ring)).read("/u/f") == b"later" + b"x" * 4995 + tail
+    reopened.close()

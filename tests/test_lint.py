@@ -327,7 +327,9 @@ class TestFrameworkBehaviour:
         source = "class StegAgent:\n    def dummy_update(self):\n        pass\n"
         findings = lint_source(source, "src/repro/core/agent.py")
         messages = [f.message for f in findings if f.code == "CON001"]
-        assert any("plan_update_range" in message and "not found" in message for message in messages)
+        assert any(
+            "plan_update_range" in message and "not found" in message for message in messages
+        )
 
     def test_broad_except_with_bare_reraise_is_clean(self):
         source = "try:\n    pass\nexcept BaseException:\n    raise\n"
