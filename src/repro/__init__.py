@@ -80,7 +80,7 @@ from repro.storage import (
 )
 from repro.workloads.filegen import FileSpec
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     # -- session-oriented service facade (the primary public surface)

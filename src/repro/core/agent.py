@@ -491,8 +491,9 @@ class StegAgent(ABC):
         raises, the updates planned before it are executed first and
         the error propagates after them, so they are committed to the
         device just as the plain loop would leave them.
-        :meth:`plan_update_range` is the engine's plan-only variant,
-        which commits nothing on a planning error.
+        :meth:`plan_update_range` is the plan-only variant the session
+        facade and the engine run, which commits nothing on a planning
+        error.
         """
         with self._exclusive("update_range"):
             steps: list[Step] = []
@@ -511,7 +512,7 @@ class StegAgent(ABC):
         payloads: list[bytes],
         stream: str = "default",
     ) -> tuple[IoPlan, list[UpdateResult]]:
-        """Plan a whole range update as one fused plan (the engine's path).
+        """Plan a whole range update as one fused plan, without executing it.
 
         Every update is checked for ownership before any is planned, and
         nothing is executed, so a planning error commits nothing.  The
@@ -567,7 +568,7 @@ class StegAgent(ABC):
     def plan_append_blocks(
         self, handle: HiddenFile, payloads: list[bytes], stream: str = "default"
     ) -> tuple[IoPlan, list[int]]:
-        """Plan whole-block appends without executing them (the engine's path)."""
+        """Plan whole-block appends without executing them."""
         with self._exclusive("plan_append_blocks"):
             return self._plan_append_blocks(handle, payloads, stream)
 

@@ -435,7 +435,6 @@ class JournalBackend(PlanJournal):
             if entry_id not in committed:
                 uncommitted.append(_UncommittedEntry(entry_id, label, tuple(undo)))
         self._entries[:] = mirror
-        self._total_recorded = len(mirror)
         self._uncommitted = uncommitted
         self._pending = [entry.entry_id for entry in uncommitted]
         self._scan_stats = (

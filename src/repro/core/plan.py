@@ -451,28 +451,20 @@ class PlanJournal:
     first device request, :meth:`mark_committed` strictly follows its
     last) is guaranteed by the executors and pinned by tests.
 
-    The in-memory journal keeps at most ``max_entries`` entries (a
-    ring: recording past the cap drops the oldest entry), with the
-    overflow visible through :attr:`truncated` and
-    :attr:`total_recorded`.  :class:`repro.core.journal.JournalBackend`
-    extends this class with a durable, cipher-sealed sidecar file.
+    A journal takes effect once set as the agent's
+    :attr:`~repro.core.agent.StegAgent.plan_journal`, the one place the
+    facade's sessions and the concurrent engine look it up.  The
+    in-memory journal keeps every entry until :meth:`clear`;
+    :class:`repro.core.journal.JournalBackend` extends this class with
+    a durable, cipher-sealed sidecar file.
     """
 
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
+    def __init__(self) -> None:
         self._entries: list[JournalEntry] = []
-        self._max_entries = max_entries
-        self._total_recorded = 0
-        self._truncated = 0
 
     def record(self, plan: IoPlan) -> None:
         """Journal one plan's step sequence ahead of its execution."""
         self._entries.append(JournalEntry(plan.label, tuple(plan.steps)))
-        self._total_recorded += 1
-        if self._max_entries is not None and len(self._entries) > self._max_entries:
-            del self._entries[0]
-            self._truncated += 1
 
     def mark_committed(self) -> None:
         """Note that every recorded-but-unexecuted plan has fully landed.
@@ -495,21 +487,6 @@ class PlanJournal:
     def entries(self) -> list[JournalEntry]:
         """Journalled entries, oldest first (a copy)."""
         return list(self._entries)
-
-    @property
-    def max_entries(self) -> int | None:
-        """Ring capacity, or ``None`` for an unbounded journal."""
-        return self._max_entries
-
-    @property
-    def total_recorded(self) -> int:
-        """Plans recorded over the journal's lifetime, truncated or not."""
-        return self._total_recorded
-
-    @property
-    def truncated(self) -> int:
-        """Entries dropped from the head of the ring to respect the cap."""
-        return self._truncated
 
     def __len__(self) -> int:
         return len(self._entries)

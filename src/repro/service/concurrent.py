@@ -80,7 +80,6 @@ from typing import Any, Callable
 from repro.core.plan import (
     KIND_CYCLE,
     KIND_WRITE,
-    PlanJournal,
     PlannedOp,
     execute_journalled,
     execute_runs,
@@ -289,6 +288,13 @@ class ConcurrentSession:
 class ConcurrentVolumeService:
     """Fair, batching, thread-safe scheduler over a :class:`HiddenVolumeService`.
 
+    The engine journals where the facade does: fused flushes run under
+    the agent's :attr:`~repro.core.agent.StegAgent.plan_journal` (a
+    durable service's sidecar journal, ``None`` in memory), read at
+    flush time, and the agent's direct executions (creates, decoys,
+    dummy bursts) journal there too, so every plan is recorded before
+    its first device request and committed after its last.
+
     Parameters
     ----------
     service:
@@ -311,12 +317,6 @@ class ConcurrentVolumeService:
         tuned default, ``0`` disables gathering (each request is served
         as soon as it is popped, preserving per-session FIFO order but
         forfeiting batch width).
-    journal:
-        Optional :class:`~repro.core.plan.PlanJournal`; when given,
-        every plan — fused flushes and the agent's direct executions
-        alike — is recorded before its first device request and marked
-        committed after its last.  Defaults to the wrapped service's
-        own durable journal (``service.journal``) when it has one.
     """
 
     def __init__(
@@ -325,7 +325,6 @@ class ConcurrentVolumeService:
         dummy_to_real_ratio: float = 1.0,
         quantum: int = 16,
         gather_timeout_s: float | None = None,
-        journal: PlanJournal | None = None,
     ):
         if dummy_to_real_ratio < 0:
             raise ValueError("dummy_to_real_ratio must be non-negative")
@@ -339,15 +338,6 @@ class ConcurrentVolumeService:
         self.gather_timeout_s = (
             _GATHER_TIMEOUT_S if gather_timeout_s is None else gather_timeout_s
         )
-        # A file-backed service already carries its durable intent log;
-        # inherit it so fused flushes stay journalled (and recoverable)
-        # through the engine too.
-        self.journal = journal if journal is not None else service.journal
-        if self.journal is not None:
-            # Direct agent executions (creates, decoys, dummy bursts)
-            # journal at the agent seam; fused flushes journal in
-            # _flush_plans.  Together the intent log is complete.
-            service.agent.plan_journal = self.journal
         self.stats = EngineStats()
         self._queue_lock = threading.Lock()
         # The scheduler thread is the only waiter on this condition;
@@ -710,14 +700,15 @@ class ConcurrentVolumeService:
         count = sum(1 for planned in pending if planned.request.kind in _REAL_OPS)
         self.stats.real_ops += count
         device, cipher_for = self.service.volume.device, self.service.volume.cipher_for
+        journal = self.service.agent.plan_journal
         try:
-            if self.journal is None:
+            if journal is None:
                 payloads = execute_runs(runs, device, cipher_for)
             else:
                 # Records each plan before its first device request and
                 # commits it after its last, in groups the journal's
                 # ring can hold; an error leaves its group uncommitted.
-                payloads = execute_journalled(plans, device, cipher_for, self.journal)
+                payloads = execute_journalled(plans, device, cipher_for, journal)
         except BaseException as error:
             for planned in pending:
                 if not planned.request.done.is_set():

@@ -14,6 +14,14 @@ ranges to Figure-6 block updates internally, and key custody follows the
 construction (FAK-held keys for the volatile agent, the master key for
 the non-volatile agent).
 
+Each byte-granular operation has one path.  ``Session.plan_read``,
+``plan_write`` and ``plan_append`` build its :class:`~repro.core.plan.IoPlan`;
+``Session.read``, ``write`` and ``append`` run that plan at once through
+the agent's executor, and the concurrent engine fuses the same plans
+across sessions.  Both execute under the agent's
+:attr:`~repro.core.agent.StegAgent.plan_journal`, which a durable
+service sets to its sidecar journal, so one call is one journal entry.
+
 Quickstart::
 
     service = HiddenVolumeService.create("volatile", volume_mib=16, seed=7)
@@ -28,14 +36,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.agent import StegAgent, UpdateResult
 from repro.core.journal import JournalBackend, journal_sidecar_path
 from repro.core.nonvolatile import NonVolatileAgent
 from repro.core.oblivious.reader import ObliviousReader
 from repro.core.oblivious.store import ObliviousStore, ObliviousStoreConfig
-from repro.core.plan import IoPlan, PlanJournal, PlannedOp, Step
+from repro.core.plan import IoPlan, PlannedOp, Step
 from repro.core.volatile import VolatileAgent
 from repro.crypto.keys import FileAccessKey, KeyRing
 from repro.crypto.prng import Sha256Prng
@@ -96,8 +104,8 @@ class Session:
 
     A session owns the user's :class:`~repro.crypto.keys.KeyRing`, keeps
     the user's files open with the agent, and exposes byte-granular
-    ``read``/``write``/``append`` that are translated into block
-    operations (the Figure-6 update algorithm for writes) internally.
+    ``read``/``write``/``append``, each of which runs the block plan its
+    ``plan_*`` twin builds (the Figure-6 update algorithm for writes).
     Sessions are created by :meth:`HiddenVolumeService.login` only.
     """
 
@@ -229,9 +237,12 @@ class Session:
     ) -> bytes:
         """Read ``size`` bytes at byte offset ``at`` (the whole file by default).
 
-        With ``oblivious=True`` the blocks are served through the
-        hierarchical oblivious store (requires a service created with an
-        :class:`ObliviousConfig`), hiding the read pattern from a
+        Runs the plan of :meth:`plan_read` through the agent: one batched
+        read of the covered blocks, in ascending logical order.
+
+        With ``oblivious=True`` the blocks are served one by one through
+        the hierarchical oblivious store (requires a service created with
+        an :class:`ObliviousConfig`), hiding the read pattern from a
         traffic-analysis attacker.
 
         Known defect: an oblivious read can return the bytes of a
@@ -240,52 +251,37 @@ class Session:
         update relocates a block or a freed index is reused.  Rounds of
         "overwrite a 3-block file, create a 1-block file, read both
         obliviously" returned wrong bytes in 8 of 8 seeds within 17
-        rounds; plain reads stay correct.  ROADMAP.md item 2 (oblivious
+        rounds; plain reads stay correct.  ROADMAP.md item 6 (oblivious
         reads) tracks the fix.
         """
+        if not oblivious:
+            return self._run(self.plan_read(path, at, size))
         handle = self._handle(path)
-        if at < 0:
-            raise ByteRangeError("read offset must be non-negative")
-        if size is not None and size < 0:
-            raise ByteRangeError("read size must be non-negative")
-        if size is None:
-            size = max(0, handle.size_bytes - at)
-        end = at + size
-        if end > handle.size_bytes:
-            raise ByteRangeError(
-                f"read of [{at}, {end}) exceeds the {handle.size_bytes}-byte file {path!r}"
-            )
-        if size == 0:
+        blocks, keep = self._read_span(handle, path, at, size)
+        if not blocks:
             return b""
-        if oblivious:
-            reader = self._service._require_oblivious()
-            if at == 0 and end == handle.size_bytes:
-                return reader.read_file(handle, self.stream)
-            return self._read_range(handle, at, end, reader.read_block)
-        if at == 0 and end == handle.size_bytes:
-            return self._service.agent.read_file(handle, self.stream)
-        # Multi-block ranges go through the batched agent read: the device
-        # sees the same per-block requests in the same (ascending logical)
-        # order as a read_block loop — trace-identical — without the
-        # per-block Python round trips.
-        payload_bytes = self._service.volume.data_field_bytes
-        first = at // payload_bytes
-        last = (end - 1) // payload_bytes
-        pieces = self._service.agent.read_blocks(handle, range(first, last + 1), self.stream)
-        joined = b"".join(pieces)
-        return joined[at - first * payload_bytes : end - first * payload_bytes]
+        reader = self._service._require_oblivious()
+        pieces = [reader.read_block(handle, logical, self.stream) for logical in blocks]
+        return b"".join(pieces)[keep]
 
     def plan_read(self, path: str, at: int = 0, size: int | None = None) -> PlannedOp:
-        """Plan a byte-range read without executing it (the engine's path).
+        """Plan a byte-range read without executing it.
 
-        Validation mirrors :meth:`read` exactly (same errors, same
-        messages); the returned plan's steps carry the content cipher so
-        the executor decrypts them grouped per file key, and ``finish``
-        slices the partial boundary blocks off the joined payloads.
-        Unlike :meth:`read` there is no whole-file fast path: every
-        planned read goes block-by-block so it can join a fused batch.
+        The plan is the agent's ``read_blocks`` plan over the covered
+        blocks; its steps carry the content cipher so the executor
+        decrypts them grouped per file key, and ``finish`` slices the
+        partial boundary blocks off the joined payloads.  :meth:`read`
+        runs it at once; the engine fuses it with other sessions' plans.
         """
         handle = self._handle(path)
+        blocks, keep = self._read_span(handle, path, at, size)
+        plan = self._service.agent.plan_read_blocks(handle, blocks, self.stream)
+        return PlannedOp(plan, lambda payloads: b"".join(payloads)[keep])
+
+    def _read_span(
+        self, handle: HiddenFile, path: str, at: int, size: int | None
+    ) -> tuple[range, slice]:
+        """Check a read; return the logical blocks it covers and the slice of their bytes."""
         if at < 0:
             raise ByteRangeError("read offset must be non-negative")
         if size is not None and size < 0:
@@ -298,21 +294,14 @@ class Session:
                 f"read of [{at}, {end}) exceeds the {handle.size_bytes}-byte file {path!r}"
             )
         if size == 0:
-            return PlannedOp(IoPlan([], label="session_read"), lambda payloads: b"")
+            return range(0), slice(0, 0)
         payload_bytes = self._service.volume.data_field_bytes
         first = at // payload_bytes
-        last = (end - 1) // payload_bytes
-        plan = self._service.agent.plan_read_blocks(handle, range(first, last + 1), self.stream)
-        head = at - first * payload_bytes
-        tail = end - first * payload_bytes
-
-        def finish(payloads: list[bytes]) -> bytes:
-            return b"".join(payloads)[head:tail]
-
-        return PlannedOp(IoPlan(plan.steps, label="session_read"), finish)
+        offset = first * payload_bytes
+        return range(first, (end - 1) // payload_bytes + 1), slice(at - offset, end - offset)
 
     def plan_write(self, path: str, data: bytes, at: int = 0) -> PlannedOp:
-        """Plan a byte-range write without executing it (the engine's path).
+        """Plan a byte-range write without executing it.
 
         Partially covered boundary blocks are read back *at plan time*
         (the one place a planner touches the device), which is sound
@@ -320,15 +309,15 @@ class Session:
         only reseal this file's blocks — plaintext-preserving — and the
         engine flushes this session's own pending writes first.  The
         Figure-6 draws and bookkeeping all run now, via
-        :meth:`~repro.core.agent.StegAgent.plan_update_range`; executing
-        the returned plan later commits the same bytes in the same
-        order a direct :meth:`write` would.
+        :meth:`~repro.core.agent.StegAgent.plan_update_range`, whose
+        ``update_range`` plan is returned as built; ``finish`` returns
+        its per-block update results.
         """
         handle = self._handle(path)
         if at < 0:
             raise ByteRangeError("write offset must be non-negative")
         if not data:
-            return PlannedOp(IoPlan([], label="session_write"), lambda payloads: [])
+            return PlannedOp(IoPlan([], label="update_range"), lambda payloads: [])
         end = at + len(data)
         if end > handle.size_bytes:
             raise ByteRangeError(
@@ -362,16 +351,17 @@ class Session:
             for offset in range(0, len(region), payload_bytes)
         ]
         plan, results = agent.plan_update_range(handle, first, payloads, self.stream)
-        return PlannedOp(IoPlan(plan.steps, label="session_write"), lambda payloads: results)
+        return PlannedOp(plan, lambda payloads: results)
 
     def plan_append(self, path: str, data: bytes) -> PlannedOp:
-        """Plan an append without executing it (the engine's path).
+        """Plan an append without executing it.
 
         Combines the tail-block Figure-6 update, the whole-block appends
-        and the grown header's save into one plan; the file-size
-        bookkeeping happens now, so ``finish`` just stats the file.  The
-        tail block, when partially filled, is read back at plan time
-        (see :meth:`plan_write` for why that is sound in the engine).
+        and the grown header's save into one ``session_append`` plan;
+        the file-size bookkeeping happens now, so ``finish`` just stats
+        the file.  The tail block, when partially filled, is read back
+        at plan time (see :meth:`plan_write` for why that is sound in
+        the engine).
         """
         handle = self._handle(path)
         if not data:
@@ -404,95 +394,37 @@ class Session:
         steps.extend(agent.plan_save_file(handle, self.stream).steps)
         return PlannedOp(IoPlan(steps, label="session_append"), lambda payloads: self.stat(path))
 
-    def _read_range(self, handle: HiddenFile, at: int, end: int, read_block) -> bytes:
-        payload_bytes = self._service.volume.data_field_bytes
-        first = at // payload_bytes
-        last = (end - 1) // payload_bytes
-        pieces = [read_block(handle, logical, self.stream) for logical in range(first, last + 1)]
-        joined = b"".join(pieces)
-        return joined[at - first * payload_bytes : end - first * payload_bytes]
+    def _run(self, op: PlannedOp) -> Any:
+        """Execute a planned operation through the agent's journalled executor; finish it."""
+        return op.finish(self._service.agent._execute(op.plan))
 
     def write(self, path: str, data: bytes, at: int = 0) -> list[UpdateResult]:
         """Overwrite ``data`` at byte offset ``at`` through the Figure-6 path.
 
-        The byte range is translated into a run of logical-block updates:
-        partially covered boundary blocks are read back and merged, then
-        the whole run goes through
-        :meth:`~repro.core.agent.StegAgent.update_range`, so every
-        touched block is relocated/dummy-mixed exactly as a hand-wired
-        caller would see.  The range must lie within the file's current
-        extent; use :meth:`append` to grow it.
+        Runs the plan of :meth:`plan_write`: partially covered boundary
+        blocks are read back and merged, and the whole run of
+        logical-block updates executes as one plan, so every touched
+        block is relocated/dummy-mixed exactly as
+        :meth:`~repro.core.agent.StegAgent.update_range` would, and a
+        durable journal records one entry for the call.  The range must
+        lie within the file's current extent; use :meth:`append` to grow
+        it.
         """
-        handle = self._handle(path)
-        if at < 0:
-            raise ByteRangeError("write offset must be non-negative")
-        if not data:
-            return []
-        end = at + len(data)
-        if end > handle.size_bytes:
-            raise ByteRangeError(
-                f"write of [{at}, {end}) exceeds the {handle.size_bytes}-byte file {path!r}; "
-                "use append() to grow a file"
-            )
-        agent = self._service.agent
-        payload_bytes = self._service.volume.data_field_bytes
-        first = at // payload_bytes
-        last = (end - 1) // payload_bytes
-        head_pad = at - first * payload_bytes
-        tail_pad = (last + 1) * payload_bytes - end
-
-        region = bytearray()
-        first_current: bytes | None = None
-        if head_pad:
-            first_current = agent.read_block(handle, first, self.stream)
-            region += first_current[:head_pad]
-        region += data
-        if tail_pad:
-            if last == first and first_current is not None:
-                last_current = first_current
-            else:
-                last_current = agent.read_block(handle, last, self.stream)
-            region += last_current[payload_bytes - tail_pad :]
-
-        payloads = [
-            bytes(region[offset : offset + payload_bytes])
-            for offset in range(0, len(region), payload_bytes)
-        ]
-        return agent.update_range(handle, first, payloads, self.stream)
+        self._check_open()
+        return self._run(self.plan_write(path, data, at))
 
     def append(self, path: str, data: bytes) -> FileStat:
         """Grow the file by ``data`` bytes at its end.
 
-        A partially filled tail block is completed through the Figure-6
-        update path; whole new blocks are allocated at uniformly random
-        free locations, exactly like the blocks of a fresh file.
+        Runs the plan of :meth:`plan_append`: a partially filled tail
+        block is completed through the Figure-6 update path, whole new
+        blocks are allocated at uniformly random free locations, exactly
+        like the blocks of a fresh file, and the grown header is saved,
+        all as one plan, so a durable journal records the append as one
+        entry.
         """
-        handle = self._handle(path)
-        if not data:
-            return self.stat(path)
-        agent = self._service.agent
-        payload_bytes = self._service.volume.data_field_bytes
-        old_size = handle.size_bytes
-        tail_used = old_size % payload_bytes
-
-        remaining = data
-        if tail_used:
-            tail_logical = old_size // payload_bytes
-            tail_room = payload_bytes - tail_used
-            current = agent.read_block(handle, tail_logical, self.stream)
-            merged = current[:tail_used] + remaining[:tail_room]
-            agent.update_range(handle, tail_logical, [merged], self.stream)
-            remaining = remaining[tail_room:]
-        if remaining:
-            chunks = [
-                remaining[offset : offset + payload_bytes]
-                for offset in range(0, len(remaining), payload_bytes)
-            ]
-            agent.append_blocks(handle, chunks, self.stream)
-        handle.header.file_size = old_size + len(data)
-        handle.mark_dirty()
-        agent.save_file(handle, self.stream)
-        return self.stat(path)
+        self._check_open()
+        return self._run(self.plan_append(path, data))
 
     # -- coercion --------------------------------------------------------------------
 
@@ -595,8 +527,9 @@ class HiddenVolumeService:
         fixed-size, cipher-sealed ``<path>.journal`` sidecar that lets
         :meth:`open` roll a crash-torn plan back to its pre-plan bytes
         (see :mod:`repro.core.journal`).  Pass ``journal=False`` to opt
-        out; in-memory services ignore the flag (nothing survives the
-        process anyway).
+        out: no sidecar is written, so :meth:`open` journals nothing
+        either.  In-memory services ignore the flag (nothing survives
+        the process anyway).
         """
         if construction not in CONSTRUCTIONS:
             raise ValueError(
@@ -635,7 +568,6 @@ class HiddenVolumeService:
         oblivious: ObliviousConfig | None = None,
         session_nonce: int | str = 0,
         fak_entropy: bytes | None = None,
-        journal: bool | None = None,
         wrap_backend: Callable[[BlockBackend], BlockBackend] | None = None,
     ) -> "HiddenVolumeService":
         """Reopen a durable volume file in a fresh process.
@@ -668,16 +600,17 @@ class HiddenVolumeService:
         session* — pass fresh entropy unless you need to re-derive a
         previous session's keys.
 
-        A ``<path>.journal`` sidecar (written by :meth:`create`) is
-        detected automatically: its uncommitted entries are rolled back
-        to their before-images *before* the service is wired, so a
-        volume whose last process died mid-plan reads either the old or
-        the new bytes of every plan — never a torn mixture.  Recovery
-        issues only plain sealed-block writes and consumes no PRNG
-        stream, so a recovered service is draw-for-draw identical to
-        one that never crashed.  ``journal=True`` forces a sidecar into
-        existence, ``journal=False`` ignores one (skipping recovery —
-        only for forensics); ``wrap_backend`` interposes on the block
+        The service journals exactly when a ``<path>.journal`` sidecar
+        exists, which :meth:`create` alone decides.  Its uncommitted
+        entries are rolled back to their before-images *before* the
+        service is wired, so a volume whose last process died mid-plan
+        reads either the old or the new bytes of every plan — never a
+        torn mixture.  Recovery issues only plain sealed-block writes
+        and consumes no PRNG stream, so a recovered service is
+        draw-for-draw identical to one that never crashed.  To inspect
+        a sidecar without recovering it, open it with
+        :meth:`~repro.core.journal.JournalBackend.open`, which recovers
+        only when asked.  ``wrap_backend`` interposes on the block
         backend *after* recovery (the fault-injection hook — see
         :class:`~repro.storage.backend.FaultInjectingBackend`).
         """
@@ -689,14 +622,9 @@ class HiddenVolumeService:
         prng = Sha256Prng(seed)
         sidecar = journal_sidecar_path(path)
         journal_backend = None
-        use_journal = os.path.exists(sidecar) if journal is None else journal
-        if use_journal:
-            key = cls._journal_key(prng)
-            if os.path.exists(sidecar):
-                journal_backend = JournalBackend.open(sidecar, key)
-                journal_backend.recover(backend)
-            else:
-                journal_backend = JournalBackend.create(sidecar, key)
+        if os.path.exists(sidecar):
+            journal_backend = JournalBackend.open(sidecar, cls._journal_key(prng))
+            journal_backend.recover(backend)
         device_backend = backend if wrap_backend is None else wrap_backend(backend)
         geometry = StorageGeometry(block_size=block_size, num_blocks=backend.num_blocks)
         storage = RawStorage(geometry, latency=latency, backend=device_backend)
@@ -853,7 +781,6 @@ class HiddenVolumeService:
         dummy_to_real_ratio: float = 1.0,
         quantum: int = 16,
         gather_timeout_s: float | None = None,
-        journal: "PlanJournal | None" = None,
     ) -> "ConcurrentVolumeService":
         """Wrap this service in the thread-safe concurrent serving engine.
 
@@ -867,9 +794,9 @@ class HiddenVolumeService:
         sessions — per scheduling quantum.  ``gather_timeout_s``
         overrides how long the scheduler waits for client arrivals
         before serving a narrower batch (``0`` disables gathering
-        entirely); ``journal`` hooks a
-        :class:`~repro.core.plan.PlanJournal` recording every plan
-        before its first device request.
+        entirely).  The engine journals under the agent's
+        :attr:`~repro.core.agent.StegAgent.plan_journal`, the service's
+        durable journal when it has one, as the facade does.
         """
         self._check_service_open()
         from repro.service.concurrent import ConcurrentVolumeService
@@ -879,7 +806,6 @@ class HiddenVolumeService:
             dummy_to_real_ratio=dummy_to_real_ratio,
             quantum=quantum,
             gather_timeout_s=gather_timeout_s,
-            journal=journal,
         )
 
     # -- durability lifecycle ----------------------------------------------------------

@@ -41,14 +41,13 @@ from repro import (
     JournalBackend,
     KeyRing,
     MemoryBackend,
-    PlanJournal,
     Sha256Prng,
     TornWrite,
     run_experiment,
 )
 from repro.attacks import SnapshotDiffAttacker
 from repro.core.journal import RecoveryReport, journal_sidecar_path
-from repro.core.plan import IoPlan, ReadStep, WriteStep
+from repro.core.plan import IoPlan, WriteStep
 from repro.errors import InjectedCrashError, JournalError, SnapshotMismatchError
 from repro.storage.snapshot import Snapshot
 
@@ -284,29 +283,6 @@ class TestJournalBackend:
         assert journal.closed
 
 
-class TestPlanJournalRing:
-    def test_max_entries_evicts_oldest(self):
-        journal = PlanJournal(max_entries=3)
-        for n in range(5):
-            journal.record(IoPlan([ReadStep(n)], label=f"op{n}"))
-        assert [entry.label for entry in journal.entries] == ["op2", "op3", "op4"]
-        assert journal.total_recorded == 5
-        assert journal.truncated == 2
-        assert journal.max_entries == 3
-
-    def test_unbounded_journal_never_truncates(self):
-        journal = PlanJournal()
-        for n in range(10):
-            journal.record(IoPlan([], label=f"op{n}"))
-        assert len(journal) == 10
-        assert journal.truncated == 0
-        assert journal.max_entries is None
-
-    def test_max_entries_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PlanJournal(max_entries=0)
-
-
 class TestFaultInjection:
     def test_counts_block_calls_only(self):
         backend = FaultInjectingBackend(make_backend())
@@ -476,15 +452,15 @@ class TestFaultInjection:
 FILE_BLOCKS = 4
 
 
-def build_volume(workdir, construction: str, seed: int = 11):
-    """A durable volume with one flushed file; returns its reopen kit."""
+def build_volume(workdir, construction: str, seed: int = 11, blocks: float = FILE_BLOCKS):
+    """A durable volume with one flushed ``blocks``-block file; returns its reopen kit."""
     path = str(workdir / "vol.img")
     service = HiddenVolumeService.create(
         construction, volume_mib=1, seed=seed, block_size=BLOCK, path=path
     )
     session = service.login(service.new_keyring("owner"))
     payload = service.volume.data_field_bytes
-    old = Sha256Prng(f"old:{construction}").random_bytes(FILE_BLOCKS * payload)
+    old = Sha256Prng(f"old:{construction}").random_bytes(int(blocks * payload))
     session.create("/crash/f", old)
     ring = session.keyring.to_json()
     service.flush()
@@ -684,6 +660,97 @@ def test_crash_during_append_reads_old_or_grown(tmp_path, construction):
         recovered = session.read("/crash/f")
         assert recovered in (old, old + suffix), f"crash at {crash_at} left a torn file"
         service.close()
+
+
+@pytest.mark.parametrize("construction", ["nonvolatile", "volatile"])
+@pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+def test_every_crash_point_of_an_append_recovers_the_pre_append_image(tmp_path, construction, torn):
+    """An append within the journal's budget is atomic on the device.
+
+    The tail block's Figure-6 update, the new blocks and the grown
+    header's save run as one journal entry, so a crash anywhere inside
+    the append rolls all of them back: the recovered volume image is
+    byte-for-byte the image before the append.
+    """
+    base, ring, old, payload = build_volume(tmp_path, construction, blocks=3.5)
+    before = Path(base).read_bytes()
+    suffix = Sha256Prng("grown").random_bytes(2 * payload)
+
+    def op(service, session):
+        session.append("/crash/f", suffix)
+
+    probe = clone_volume(base, tmp_path, "probe.img")
+    crashed, op_calls = run_op(probe, construction, ring, op, nonce="op")
+    assert not crashed and op_calls > 2
+
+    for crash_at in range(op_calls):
+        clone = clone_volume(base, tmp_path, f"crash{crash_at}.img")
+        crashed, _ = run_op(
+            clone,
+            construction,
+            ring,
+            op,
+            nonce="op",
+            crash_at=crash_at,
+            torn=TornWrite() if torn else None,
+        )
+        assert crashed
+        service, session = reopen(clone, construction, ring, nonce=f"verify:{crash_at}")
+        assert service.storage.raw_bytes() == before, f"crash at {crash_at} kept a partial append"
+        assert session.read("/crash/f") in (old, old + suffix)
+        service.close()
+
+
+@pytest.mark.parametrize("construction", ["nonvolatile", "volatile"])
+def test_writes_served_after_recovering_a_torn_crash_survive_the_next_open(tmp_path, construction):
+    """``open()`` recovers the sidecar it finds and journals what it serves.
+
+    So no stale entry of the crashed process is left for the next open
+    to roll back over bytes flushed since.
+    """
+    path = tmp_path / "vol.img"
+    service = HiddenVolumeService.create(construction, volume_mib=1, seed=1, path=path)
+    session = service.login(service.new_keyring("owner"))
+    payload = service.volume.data_field_bytes
+    session.create("/crash/f", Sha256Prng("old").random_bytes(100 * payload))
+    ring = session.keyring.to_json()
+    service.flush()
+    service.close()
+
+    injector: FaultInjectingBackend | None = None
+
+    def wrap(backend):
+        nonlocal injector
+        injector = FaultInjectingBackend(backend)
+        return injector
+
+    doomed = HiddenVolumeService.open(
+        path, construction, seed=1, session_nonce=1, wrap_backend=wrap
+    )
+    writer = doomed.login(KeyRing.from_json(ring))
+    injector.arm(1, TornWrite())
+    with pytest.raises(InjectedCrashError):
+        writer.write("/crash/f", b"d" * 4 * payload, at=payload)
+    doomed.storage.close()
+    doomed.journal.close()
+
+    service = HiddenVolumeService.open(path, construction, seed=1, session_nonce=2)
+    session = service.login(KeyRing.from_json(ring))
+    latest = bytearray(Sha256Prng("whole").random_bytes(100 * payload))
+    session.write("/crash/f", bytes(latest))
+    half = len(latest) // 2
+    for at, end in ((0, half), (half, len(latest))):
+        latest[at:end] = Sha256Prng(f"half:{at}").random_bytes(end - at)
+        session.write("/crash/f", bytes(latest[at:end]), at=at)
+    for _ in range(20):
+        service.idle(1)
+    service.flush()
+    service.close()
+
+    service = HiddenVolumeService.open(path, construction, seed=1, session_nonce=3)
+    session = service.login(KeyRing.from_json(ring))
+    assert session.read("/crash/f") == bytes(latest)
+    service.close()
 
 
 @pytest.mark.parametrize("construction", ["nonvolatile", "volatile"])

@@ -284,6 +284,31 @@ class TestServiceRoundTrip:
             with reopened.login(KeyRing.from_json(ring_json)) as session:
                 assert session.read("/alice/f") == b"scoped"
 
+    def test_a_volume_created_without_a_journal_reopens_without_one(self, tmp_path):
+        service = HiddenVolumeService.create(
+            "volatile", volume_mib=1, seed=7, path=tmp_path / "vol.img", journal=False
+        )
+        assert service.journal is None
+        alice = service.login(service.new_keyring("alice"))
+        alice.create("/alice/f", b"u" * 5000)
+        ring_json = alice.keyring.to_json()
+        service.close()
+        sidecar = tmp_path / "vol.img.journal"
+        assert not sidecar.exists()
+
+        reopened = HiddenVolumeService.open(tmp_path / "vol.img", "volatile", seed=7)
+        assert reopened.journal is None and reopened.agent.plan_journal is None
+        reopened.login(KeyRing.from_json(ring_json)).write("/alice/f", b"NEW", at=4095)
+        reopened.close()
+        assert not sidecar.exists()
+
+        again = HiddenVolumeService.open(
+            tmp_path / "vol.img", "volatile", seed=7, session_nonce="again"
+        )
+        session = again.login(KeyRing.from_json(ring_json))
+        assert session.read("/alice/f") == b"u" * 4095 + b"NEW" + b"u" * 902
+        again.close()
+
     def test_close_saves_dirty_headers_of_live_sessions(self, tmp_path):
         service = make_volume(tmp_path)
         alice = service.login(service.new_keyring("alice"))

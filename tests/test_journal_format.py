@@ -552,6 +552,25 @@ def test_a_multi_block_write_rewrites_one_entry_and_one_commit(tmp_path):
     service.close()
 
 
+def test_a_durable_append_rewrites_one_entry_and_one_commit(tmp_path):
+    service = _durable_service(tmp_path)
+    session = service.login(service.new_keyring("alice"))
+    payload = service.volume.data_field_bytes
+    session.create("/alice/f", b"f" * (7 * payload // 2))  # ends mid-block
+    journal, sidecar = service.journal, _sidecar(service)
+    for payloads in (1, 2, 5):
+        service.flush()  # checkpoint first, so the ring cannot fill mid-append
+        before, first_seq = sidecar.read_bytes(), journal._next_seq
+        session.append("/alice/f", bytes([payloads]) * payloads * payload)
+        [entry] = journal.entries
+        assert entry.label == "session_append"
+        written = len(_write_targets(IoPlan(list(entry.steps))))
+        slots = _rewritten_slots(before, sidecar.read_bytes(), journal.record_size)
+        # Tail update, new blocks and header save: one entry, one commit.
+        assert slots == journal._next_seq - first_seq == written + 2
+    service.close()
+
+
 def test_a_crash_mid_write_rolls_back_exactly_one_entry(tmp_path):
     path = tmp_path / "vol.img"
     ring = _volume_with_file(path, "volatile", 8, decoy_blocks=48)

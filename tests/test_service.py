@@ -10,7 +10,7 @@ call — the facade adds expressiveness, never observable behaviour.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
@@ -335,6 +335,46 @@ class TestTraceEquivalence:
         oracle = SECRET[:at] + payload + SECRET[end:]
         assert session_a.read("/u/f") == oracle
         assert session_b.read("/u/f") == oracle
+
+    @settings(max_examples=30, deadline=None)
+    @given(at=st.integers(0, len(SECRET)), size=st.none() | st.integers(0, len(SECRET)))
+    @example(at=0, size=None)  # the whole file
+    @example(at=0, size=len(SECRET))  # the whole file, sized
+    @example(at=700, size=0)
+    @example(at=len(SECRET), size=None)  # empty, at the end
+    def test_session_read_trace_identical_to_read_file_or_block_loop(self, at, size):
+        assume(size is None or at + size <= len(SECRET))
+        end = len(SECRET) if size is None else at + size
+        service_a, session_a = self._twin(seed=1234)
+        service_b, session_b = self._twin(seed=1234)
+        mark_a = len(service_a.storage.trace)
+        mark_b = len(service_b.storage.trace)
+
+        got = session_a.read("/u/f", at=at, size=size)
+
+        handle = session_b._handles["/u/f"]
+        if at == 0 and end == len(SECRET):
+            expected = service_b.volume.read_file(handle, session_b.stream)
+        elif at == end:
+            expected = b""
+        else:
+            payload_bytes = service_b.volume.data_field_bytes
+            first, last = at // payload_bytes, (end - 1) // payload_bytes
+            pieces = [
+                service_b.agent.read_block(handle, logical, session_b.stream)
+                for logical in range(first, last + 1)
+            ]
+            expected = b"".join(pieces)[at - first * payload_bytes : end - first * payload_bytes]
+
+        assert got == expected == SECRET[at:end]
+        events_a = [
+            (e.op, e.index, e.time_ms, e.stream) for e in service_a.storage.trace.since(mark_a)
+        ]
+        events_b = [
+            (e.op, e.index, e.time_ms, e.stream) for e in service_b.storage.trace.since(mark_b)
+        ]
+        assert events_a == events_b
+        assert bool(events_a) == (at < end)
 
 
 class TestScenarioRunner:
